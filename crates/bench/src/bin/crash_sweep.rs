@@ -23,12 +23,13 @@
 //! and the doubly-crashed machine must recover again, restartably, off the
 //! ADR recovery journal.
 //!
-//! Phase four replays the same protocol through the sharded front-end:
-//! the stream routes across `STEINS_SHARD_SWEEP_SHARDS` controllers and
-//! the crash (whole-line and torn) is armed on one target shard at a
-//! time, with its neighbors required to keep serving and to report
-//! pristine journals afterwards. A nested leg re-crashes each target
-//! shard during its own recovery.
+//! Phase four runs the same harness through the sharded front-end: the
+//! stream routes across `STEINS_SHARD_SWEEP_SHARDS` controllers and the
+//! crash (whole-line and torn) is armed on one target shard at a time,
+//! with its neighbors required to keep serving and to report pristine
+//! journals afterwards. A nested leg re-crashes each target shard during
+//! its own recovery, and a worker-crash leg crashes the worker rebuilding
+//! the target's region in a 2-worker whole-engine parallel recovery.
 //!
 //! Env knobs: `STEINS_SWEEP_OPS` (stream length, default 150),
 //! `STEINS_TORN_POINTS` (line-write boundaries torn per combo, default 48),
@@ -40,7 +41,7 @@
 //! `STEINS_THREADS` (worker pool size).
 
 use steins_bench::par;
-use steins_core::{CounterMode, CrashSweep, PointSelection, SchemeKind, ShardSweep};
+use steins_core::{CounterMode, CrashSweep, PointSelection, SchemeKind};
 
 /// Torn-word masks swept at every selected line-write boundary: dropped,
 /// one-word prefix, half-line prefix, sparse even words, sparse odd words.
@@ -53,27 +54,44 @@ const NESTED_OUTER_MASKS: [u8; 2] = [0xFF, 0x0F];
 /// Inner masks re-armed against recovery's own writes.
 const NESTED_INNER_MASKS: [u8; 2] = [0xFF, 0x0F];
 
-/// Masks of the sharded phase: whole-line crash plus a half-line tear
-/// (exercising the per-shard scrub leg).
-const SHARD_MASKS: [u8; 2] = [0xFF, 0x0F];
+/// Torn mask of the sharded phase, beside the whole-line crash: a
+/// half-line tear (exercising the per-shard scrub leg).
+const SHARD_TORN_MASK: u8 = 0x0F;
+
+/// Worker threads of the sharded phase's parallel-rebuild leg.
+const REBUILD_WORKERS: usize = 2;
+
+/// Prints one result row plus up to three repros; returns whether it was
+/// clean.
+fn row(
+    label: &str,
+    tested: usize,
+    failures: &[steins_core::CrashRepro],
+    ok: &str,
+    bad: &str,
+) -> bool {
+    let verdict = if failures.is_empty() { ok } else { bad };
+    println!("{label:>10}  {tested:>8}  {:>8}  {verdict}", failures.len());
+    for repro in failures.iter().take(3) {
+        println!("{repro}");
+    }
+    failures.is_empty()
+}
 
 fn main() {
-    let ops: usize = std::env::var("STEINS_SWEEP_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150);
-    let torn_points: usize = std::env::var("STEINS_TORN_POINTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48);
-    let nested_outer: usize = std::env::var("STEINS_NESTED_OUTER")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
-    let nested_inner: usize = std::env::var("STEINS_NESTED_INNER")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
+    let env = |name: &str, default: usize| -> usize {
+        std::env::var(name)
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    };
+    let ops = env("STEINS_SWEEP_OPS", 150);
+    let torn_points = env("STEINS_TORN_POINTS", 48);
+    let nested_outer = env("STEINS_NESTED_OUTER", 12);
+    let nested_inner = env("STEINS_NESTED_INNER", 6);
+    let shard_shards = env("STEINS_SHARD_SWEEP_SHARDS", 2);
+    let shard_points = env("STEINS_SHARD_POINTS", 4);
+    let shard_nested = env("STEINS_SHARD_NESTED", 2);
     let combos = [
         (SchemeKind::WriteBack, CounterMode::General),
         (SchemeKind::WriteBack, CounterMode::Split),
@@ -82,41 +100,35 @@ fn main() {
         (SchemeKind::Steins, CounterMode::General),
         (SchemeKind::Steins, CounterMode::Split),
     ];
+    let mut all_clean = true;
+
     println!(
         "Crash sweep: {ops}-op stream, every persist point, {} workers",
         par::threads()
     );
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "points", "failed");
-    let mut all_clean = true;
     for (scheme, mode) in combos {
-        let sweep = CrashSweep::small(scheme, mode, ops, PointSelection::All);
-        let total = match sweep.total_points() {
-            Ok(t) => t,
+        let sweep = CrashSweep::small(scheme, mode, 1, ops, PointSelection::All);
+        let points = match sweep.points() {
+            Ok(p) => p,
             Err(e) => {
-                all_clean = false;
                 println!("{:>10}  baseline run failed: {e}", scheme.label(mode));
+                all_clean = false;
                 continue;
             }
         };
-        let failures: Vec<_> = par::map((1..=total).collect(), |k| sweep.probe_point(k))
+        let tested = points.len();
+        let failures: Vec<_> = par::map(points, |(s, k)| sweep.probe_point(s, k))
             .into_iter()
             .flatten()
             .collect();
-        let verdict = if failures.is_empty() {
-            "all points recovered & verified".to_string()
-        } else {
-            all_clean = false;
-            "UNRECOVERABLE POINTS".to_string()
-        };
-        println!(
-            "{:>10}  {:>8}  {:>8}  {verdict}",
-            scheme.label(mode),
-            total,
-            failures.len()
+        all_clean &= row(
+            &scheme.label(mode),
+            tested,
+            &failures,
+            "all points recovered & verified",
+            "UNRECOVERABLE POINTS",
         );
-        for repro in failures.iter().take(3) {
-            println!("{repro}");
-        }
     }
     println!("{:>10}  skipped: general-counter-only baseline", "Asit-SC");
     println!("{:>10}  skipped: general-counter-only baseline", "Star-SC");
@@ -127,39 +139,31 @@ fn main() {
     );
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "torn", "failed");
     for (scheme, mode) in combos {
-        let sweep = CrashSweep::small(scheme, mode, ops, PointSelection::AtMost(torn_points));
+        let sweep = CrashSweep::small(scheme, mode, 1, ops, PointSelection::AtMost(torn_points));
         let points = match sweep.tearable_points() {
             Ok(p) => p,
             Err(e) => {
-                all_clean = false;
                 println!("{:>10}  baseline run failed: {e}", scheme.label(mode));
+                all_clean = false;
                 continue;
             }
         };
-        let jobs: Vec<(u64, u8)> = points
+        let jobs: Vec<(usize, u64, u8)> = points
             .iter()
-            .flat_map(|&k| TORN_MASKS.iter().map(move |&m| (k, m)))
+            .flat_map(|&(s, k)| TORN_MASKS.iter().map(move |&m| (s, k, m)))
             .collect();
         let tested = jobs.len();
-        let failures: Vec<_> = par::map(jobs, |(k, m)| sweep.probe_point_torn(k, m))
+        let failures: Vec<_> = par::map(jobs, |(s, k, m)| sweep.probe_point_torn(s, k, m))
             .into_iter()
             .flatten()
             .collect();
-        let verdict = if failures.is_empty() {
-            "all torn points recovered or scrubbed".to_string()
-        } else {
-            all_clean = false;
-            "TORN CONTRACT VIOLATIONS".to_string()
-        };
-        println!(
-            "{:>10}  {:>8}  {:>8}  {verdict}",
-            scheme.label(mode),
+        all_clean &= row(
+            &scheme.label(mode),
             tested,
-            failures.len()
+            &failures,
+            "all torn points recovered or scrubbed",
+            "TORN CONTRACT VIOLATIONS",
         );
-        for repro in failures.iter().take(3) {
-            println!("{repro}");
-        }
     }
 
     println!(
@@ -169,7 +173,7 @@ fn main() {
     );
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "nested", "failed");
     for (scheme, mode) in combos {
-        let sweep = CrashSweep::small(scheme, mode, ops, PointSelection::AtMost(nested_outer));
+        let sweep = CrashSweep::small(scheme, mode, 1, ops, PointSelection::AtMost(nested_outer));
         let jobs = match sweep.nested_jobs(
             &NESTED_OUTER_MASKS,
             &NESTED_INNER_MASKS,
@@ -177,95 +181,107 @@ fn main() {
         ) {
             Ok(j) => j,
             Err(e) => {
-                all_clean = false;
                 println!("{:>10}  baseline run failed: {e}", scheme.label(mode));
+                all_clean = false;
                 continue;
             }
         };
         let tested = jobs.len();
-        let failures: Vec<_> = par::map(jobs, |(k, m0, j, m1)| {
-            sweep.probe_point_nested(k, m0, j, m1)
+        let failures: Vec<_> = par::map(jobs, |job| sweep.probe_point_nested(job))
+            .into_iter()
+            .flatten()
+            .collect();
+        all_clean &= row(
+            &scheme.label(mode),
+            tested,
+            &failures,
+            "all nested points re-recovered",
+            "NESTED CONTRACT VIOLATIONS",
+        );
+    }
+
+    println!(
+        "\nSharded sweep: {shard_shards} shards, crash+torn ≤{shard_points} points per target \
+         shard (masks [ff, {SHARD_TORN_MASK:02x}]), nested and worker-crash ≤{shard_nested}×{shard_nested}"
+    );
+    println!("{:>10}  {:>8}  {:>8}  result", "combo", "tested", "failed");
+    for (scheme, mode) in combos {
+        let label = scheme.label(mode);
+        let sweep = CrashSweep::small(
+            scheme,
+            mode,
+            shard_shards,
+            ops,
+            PointSelection::AtMost(shard_points),
+        );
+        let nested_sweep = CrashSweep::small(
+            scheme,
+            mode,
+            shard_shards,
+            ops,
+            PointSelection::AtMost(shard_nested),
+        );
+        let inner = PointSelection::AtMost(shard_nested);
+        let enumerated = sweep.points().and_then(|points| {
+            let tearable = sweep.tearable_points()?;
+            let jobs = nested_sweep.nested_jobs(&[0xFF], &[0xFF], inner)?;
+            Ok((points, tearable, jobs))
+        });
+        let (points, tearable, jobs) = match enumerated {
+            Ok(e) => e,
+            Err(e) => {
+                println!("{:>10}  baseline run failed: {e}", label);
+                all_clean = false;
+                continue;
+            }
+        };
+        let torn: Vec<(usize, u64, u8)> = points
+            .iter()
+            .map(|&(s, k)| (s, k, 0xFF))
+            .chain(tearable.iter().map(|&(s, k)| (s, k, SHARD_TORN_MASK)))
+            .collect();
+        let tested = torn.len();
+        let failures: Vec<_> = par::map(torn, |(s, k, m)| sweep.probe_point_torn(s, k, m))
+            .into_iter()
+            .flatten()
+            .collect();
+        all_clean &= row(
+            &label,
+            tested,
+            &failures,
+            "all shards recovered, neighbors kept serving",
+            "SHARDED CONTRACT VIOLATIONS",
+        );
+        let failures: Vec<_> = par::map(jobs.clone(), |job| nested_sweep.probe_point_nested(job))
+            .into_iter()
+            .flatten()
+            .collect();
+        all_clean &= row(
+            &format!("{label}*"),
+            jobs.len(),
+            &failures,
+            "all shards re-recovered, neighbors pristine",
+            "SHARDED CONTRACT VIOLATIONS",
+        );
+        let failures: Vec<_> = par::map(jobs.clone(), |job| {
+            nested_sweep.probe_point_worker_crash(job.shard, job.outer, job.inner, REBUILD_WORKERS)
         })
         .into_iter()
         .flatten()
         .collect();
-        let verdict = if failures.is_empty() {
-            "all nested points re-recovered".to_string()
-        } else {
-            all_clean = false;
-            "NESTED CONTRACT VIOLATIONS".to_string()
-        };
-        println!(
-            "{:>10}  {:>8}  {:>8}  {verdict}",
-            scheme.label(mode),
-            tested,
-            failures.len()
+        all_clean &= row(
+            &format!("{label}+"),
+            jobs.len(),
+            &failures,
+            "only the crashed worker's region restarted",
+            "SHARDED CONTRACT VIOLATIONS",
         );
-        for repro in failures.iter().take(3) {
-            println!("{repro}");
-        }
-    }
-
-    let shard_shards: usize = std::env::var("STEINS_SHARD_SWEEP_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let shard_points: usize = std::env::var("STEINS_SHARD_POINTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let shard_nested: usize = std::env::var("STEINS_SHARD_NESTED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    println!(
-        "\nSharded sweep: {shard_shards} shards, crash+torn ≤{shard_points} points per target \
-         shard (masks {SHARD_MASKS:02x?}), nested ≤{shard_nested}×{shard_nested}"
-    );
-    println!("{:>10}  {:>8}  {:>8}  result", "combo", "tested", "failed");
-    let shard_jobs: Vec<_> = combos
-        .iter()
-        .flat_map(|&(scheme, mode)| [(scheme, mode, false), (scheme, mode, true)])
-        .collect();
-    let shard_reports = par::map(shard_jobs, |(scheme, mode, nested)| {
-        let sweep = ShardSweep::small(scheme, mode, shard_shards, ops);
-        let report = if nested {
-            sweep.run_nested(
-                PointSelection::AtMost(shard_nested),
-                PointSelection::AtMost(shard_nested),
-            )
-        } else {
-            sweep.run(PointSelection::AtMost(shard_points), &SHARD_MASKS)
-        };
-        (scheme, mode, nested, report)
-    });
-    for (scheme, mode, nested, report) in shard_reports {
-        let verdict = if report.clean() {
-            if nested {
-                "all shards re-recovered, neighbors pristine".to_string()
-            } else {
-                "all shards recovered, neighbors kept serving".to_string()
-            }
-        } else {
-            all_clean = false;
-            "SHARDED CONTRACT VIOLATIONS".to_string()
-        };
-        let label = if nested {
-            format!("{}*", scheme.label(mode))
-        } else {
-            scheme.label(mode)
-        };
-        println!(
-            "{:>10}  {:>8}  {:>8}  {verdict}",
-            label,
-            report.tested_points,
-            report.failures.len()
-        );
-        for repro in report.failures.iter().take(3) {
-            println!("{repro}");
-        }
     }
     println!("{:>10}  (* = nested crash-during-recovery leg)", "");
+    println!(
+        "{:>10}  (+ = worker crash during a {REBUILD_WORKERS}-worker parallel rebuild)",
+        ""
+    );
 
     if !all_clean {
         std::process::exit(1);

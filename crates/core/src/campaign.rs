@@ -34,7 +34,9 @@ use steins_obs::{Alarm, AlarmKind, AlarmLog, Histogram, MetricRegistry};
 use steins_trace::rng::SmallRng;
 
 use crate::config::{SchemeKind, SystemConfig};
-use crate::crash::{silence_crash_trips, CrashSweep, PointSelection, SweepOp, TornCrash};
+use crate::crash::{
+    silence_crash_trips, CrashSweep, NestedJob, PointSelection, SweepOp, TornCrash,
+};
 use crate::engine::synth_data;
 use crate::online::{OnlinePolicy, OnlineService};
 use crate::par;
@@ -366,13 +368,13 @@ impl FaultCampaign {
     /// Rebuilding from scratch (rather than cloning) keeps the image's
     /// fault plane and truth map exactly as recovery will see them.
     fn attacked_image(
-        cfg: &SystemConfig,
+        sweep: &CrashSweep,
         ops: &[SweepOp],
         k: u64,
         mask: u8,
         attacks: &[Attack],
     ) -> Option<(TornCrash, Vec<u64>, bool)> {
-        let mut tc = CrashSweep::crash_torn(cfg, ops, k, mask).ok()??;
+        let mut tc = sweep.crash_torn(ops, 0, k, mask).ok()??;
         let mut tampered_data = Vec::new();
         let mut media = false;
         for &a in attacks {
@@ -388,7 +390,7 @@ impl FaultCampaign {
     /// Runs one attack iteration; returns `Ok(outcome)` or a failure
     /// description.
     fn attack_iteration(
-        cfg: &SystemConfig,
+        sweep: &CrashSweep,
         ops: &[SweepOp],
         k: u64,
         mask: u8,
@@ -397,12 +399,11 @@ impl FaultCampaign {
     ) -> Result<CampaignOutcome, String> {
         // Strict recovery first: it may detect (Err) or even succeed (the
         // attack can land on untouched regions) — it must never unwind.
-        let Some((tc, tampered, media)) = Self::attacked_image(cfg, ops, k, mask, attacks) else {
+        let Some((tc, tampered, media)) = Self::attacked_image(sweep, ops, k, mask, attacks) else {
             return Err("attack image not reproducible".into());
         };
-        let expected = tc.expected.clone();
-        let sacrificed = tc.sacrificed;
-        let crashed = tc.crashed;
+        let TornCrash { crashed, ctx } = tc;
+        let (expected, sacrificed) = (ctx.expected, ctx.sacrificed);
         let recoverable = crashed.recoverable();
         match catch_unwind(AssertUnwindSafe(move || crashed.recover().err())) {
             Ok(Some(_)) => report.strict_detected += 1,
@@ -415,7 +416,7 @@ impl FaultCampaign {
 
         // The lenient scrub on a fresh copy of the same image: total by
         // contract, and its damage report must not whitewash the attack.
-        let Some((tc2, _, _)) = Self::attacked_image(cfg, ops, k, mask, attacks) else {
+        let Some((tc2, _, _)) = Self::attacked_image(sweep, ops, k, mask, attacks) else {
             return Err("attack image not reproducible".into());
         };
         let crashed2 = tc2.crashed;
@@ -506,7 +507,7 @@ impl FaultCampaign {
     ) -> CampaignReport {
         let cfg = SystemConfig::small_for_tests(scheme, mode);
         let ops = SweepOp::stream(self.cfg.seed ^ ((combo as u64) << 17), 192, self.cfg.ops);
-        let sweep = CrashSweep::new(cfg.clone(), ops.clone(), PointSelection::All);
+        let sweep = CrashSweep::new(cfg.clone(), 1, ops.clone(), PointSelection::All);
         let label = scheme.label(mode);
         let mut report = CampaignReport {
             seed: self.cfg.seed,
@@ -541,7 +542,7 @@ impl FaultCampaign {
                 report.nested_points += 1;
                 let draw = rng.next_u64();
                 let m1_draw = Self::draw_mask(&mut rng);
-                let inner = match CrashSweep::recovery_points(&cfg, &ops, k, mask) {
+                let inner = match sweep.recovery_points(0, k, mask) {
                     Ok(pts) => pts,
                     Err(fail) => {
                         report.failures.push(format!(
@@ -567,7 +568,14 @@ impl FaultCampaign {
                     };
                     (p.seq, m1)
                 };
-                if let Some(repro) = sweep.probe_point_nested(k, mask, j, m1) {
+                let job = NestedJob {
+                    shard: 0,
+                    outer: k,
+                    outer_mask: mask,
+                    inner: j,
+                    inner_mask: m1,
+                };
+                if let Some(repro) = sweep.probe_point_nested(job) {
                     report.failures.push(format!(
                         "{label} nested point {k}>{j} masks {mask:#04x}>{m1:#04x} \
                          (seed {:#x}, iter {i}, {} ops): {}",
@@ -579,7 +587,7 @@ impl FaultCampaign {
             } else if i % 2 == 0 {
                 // Crash-only point: the strong sweep contract, torn-aware.
                 report.crash_points += 1;
-                if let Some(repro) = sweep.probe_point_torn(k, mask) {
+                if let Some(repro) = sweep.probe_point_torn(0, k, mask) {
                     report.failures.push(format!(
                         "{label} crash point {k} mask {mask:#04x} \
                          (seed {:#x}, iter {i}, {} ops): {}",
@@ -595,18 +603,19 @@ impl FaultCampaign {
                 let attacks: Vec<Attack> = (0..n_attacks)
                     .map(|_| Self::draw_attack(&mut rng, total_nodes, data_lines, cache_slots))
                     .collect();
-                if let Err(why) = Self::attack_iteration(&cfg, &ops, k, mask, &attacks, &mut report)
+                if let Err(why) =
+                    Self::attack_iteration(&sweep, &ops, k, mask, &attacks, &mut report)
                 {
                     // Shrink: re-run on the stream truncated past the
                     // in-flight op; keep the shorter repro when it still
                     // fails the same way.
                     let mut repro_ops = ops.len();
-                    if let Ok(Some(tc)) = CrashSweep::crash_torn(&cfg, &ops, k, mask) {
-                        let cut = tc.op_index + 1;
+                    if let Ok(Some(tc)) = sweep.crash_torn(&ops, 0, k, mask) {
+                        let cut = tc.ctx.op_index + 1;
                         let mut scratch = CampaignReport::default();
                         if cut < ops.len()
                             && Self::attack_iteration(
-                                &cfg,
+                                &sweep,
                                 &ops[..cut],
                                 k,
                                 mask,

@@ -13,7 +13,10 @@
 //!   (dirty bitmap + sorted-set cache-tree), and **Steins**
 //!   (counter-generation + offset records + LIncs + NV buffer).
 //! * [`crash`] / [`recovery`] — crash injection (volatile state loss with
-//!   ADR flush) and the per-scheme recovery engines with full verification.
+//!   ADR flush), the persist-boundary crash sweep over 1 or N shards, and
+//!   the per-scheme recovery engines with full verification.
+//! * [`shard`] — the sharded multi-controller front-end and its parallel,
+//!   self-healing recovery.
 //! * [`attack`] — tampering/replay injection used by the security tests.
 //! * [`scrub`] — lenient recovery: the non-panicking integrity scrub with
 //!   region-granular verdicts (`Intact`/`Recovered`/`Unrecoverable`).
@@ -54,17 +57,16 @@ pub use campaign::{
     FaultCampaign,
 };
 pub use config::{SchemeKind, SystemConfig};
-pub use crash::{CrashRepro, CrashSweep, CrashedSystem, PointSelection, SweepOp, SweepReport};
+pub use crash::{
+    CrashRepro, CrashSweep, CrashedSystem, NestedJob, PointSelection, SweepOp, SweepReport,
+};
 pub use engine::SecureNvmSystem;
 pub use error::IntegrityError;
 pub use online::{OnlinePolicy, OnlineService};
 pub use recovery::RecoveryReport;
 pub use report::RunReport;
 pub use scrub::{ScrubReport, Verdict};
-pub use shard::{
-    ParallelRecovery, RepairOutcome, RepairPolicy, ShardRepro, ShardSweep, ShardSweepReport,
-    ShardedEngine,
-};
+pub use shard::{ParallelRecovery, RepairOutcome, RepairPolicy, ShardedEngine};
 
 // Re-export the counter mode so downstream users need only this crate.
 pub use steins_metadata::CounterMode;

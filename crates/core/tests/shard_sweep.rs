@@ -1,20 +1,23 @@
 //! Bounded sharded crash/torn/nested sweeps across every scheme.
 //!
-//! Mirrors the unsharded sweeps in `robustness.rs`, but replayed through
-//! the 2-shard [`ShardSweep`] harness: the crash is armed on one target
-//! shard at a time while its neighbor keeps serving the rest of the
-//! stream. Point selections are strided samples so the full matrix stays
-//! cheap; the exhaustive runs live in the `crash_sweep` bench binary.
+//! Mirrors the single-controller sweeps, but replays the stream through
+//! the 2-shard [`CrashSweep`]: the crash is armed on one target shard at a
+//! time while its neighbor keeps serving the rest of the stream. Point
+//! selections are strided samples so the full matrix stays cheap; the
+//! exhaustive runs live in the `crash_sweep` bench binary.
 
-use steins_core::{CounterMode, PointSelection, SchemeKind, ShardSweep};
+use steins_core::{CounterMode, CrashSweep, PointSelection, SchemeKind};
 
-const TORN_MASKS: [u8; 2] = [0xFF, 0x0F];
+const MASKS: [u8; 2] = [0xFF, 0x0F];
 
 fn sweep(scheme: SchemeKind, mode: CounterMode) {
-    let sweep = ShardSweep::small(scheme, mode, 2, 28);
-    let report = sweep.run(PointSelection::AtMost(3), &TORN_MASKS);
+    let sweep = CrashSweep::small(scheme, mode, 2, 28, PointSelection::AtMost(3));
+    let report = sweep.run();
     assert!(report.clean(), "{report}");
-    let nested = sweep.run_nested(PointSelection::AtMost(2), PointSelection::AtMost(2));
+    let torn = sweep.run_torn(&[0x0F]);
+    assert!(torn.clean(), "{torn}");
+    let sweep = CrashSweep::small(scheme, mode, 2, 28, PointSelection::AtMost(2));
+    let nested = sweep.run_nested(&MASKS, &MASKS, PointSelection::AtMost(2));
     assert!(nested.clean(), "{nested}");
 }
 

@@ -11,15 +11,12 @@
 //! set's ways, and the flat layout makes that a bounds-checked slice scan
 //! with no second pointer chase.
 //!
-//! Slot occupancy lives in per-slot atomic tag/state words
-//! ([`crate::slot_state`]), not `valid`/`dirty` bools: every transition is
-//! a single CAS with acquire/release ordering, reservations are an explicit
-//! `BUSY` state that is never an eviction candidate, and any thread sharing
-//! `&MetadataCache` can [`MetadataCache::probe`] residency lock-free while
-//! the owning shard mutates node payloads under `&mut`.
+//! Each slot carries a plain occupancy state (`Empty`/`Clean`/`Dirty`) and
+//! its tag. The cache is only ever touched under `&mut` by the shard that
+//! owns it, so no state is shared across threads and an install swaps the
+//! victim's tag for the new one in a single step.
 
 use crate::node::SitNode;
-use crate::slot_state::{SlotView, SlotWord, CLEAN, DIRTY, EMPTY};
 use steins_crypto as _; // crate-level dependency kept for doc links
 use steins_obs::{Histogram, MetricRegistry};
 
@@ -64,17 +61,36 @@ impl MetaCacheConfig {
     }
 }
 
+/// Occupancy of one cache slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SlotState {
+    /// Holds nothing.
+    Empty,
+    /// Holds a node equal to its NVM copy.
+    Clean,
+    /// Holds a node newer than its NVM copy (lost on crash).
+    Dirty,
+}
+
 struct Slot {
-    /// Atomic tag/state word: occupancy + node offset.
-    word: SlotWord,
+    state: SlotState,
+    /// The resident node's offset (meaningless while `Empty`).
+    offset: u64,
     node: SitNode,
     lru: u64,
+}
+
+impl Slot {
+    fn holds(&self, offset: u64) -> bool {
+        self.state != SlotState::Empty && self.offset == offset
+    }
 }
 
 impl Default for Slot {
     fn default() -> Self {
         Slot {
-            word: SlotWord::default(),
+            state: SlotState::Empty,
+            offset: 0,
             node: SitNode::zero_general(),
             lru: 0,
         }
@@ -92,15 +108,6 @@ pub struct EvictedNode {
     pub dirty: bool,
     /// The flat slot index it vacated.
     pub slot: u64,
-}
-
-/// Result of a lock-free [`MetadataCache::probe`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotProbe {
-    /// Flat slot index holding the node.
-    pub slot: u64,
-    /// Whether the slot was dirty at the probe instant.
-    pub dirty: bool,
 }
 
 /// Value-holding, true-LRU, set-associative metadata cache keyed by node
@@ -153,19 +160,16 @@ impl MetadataCache {
         (set * self.ways + way) as u64
     }
 
-    /// Acquire-load snapshot of `(set, way)`'s state word.
+    /// The slot at `(set, way)`.
     #[inline]
-    fn view_at(&self, set: usize, way: usize) -> SlotView {
-        self.slots[set * self.ways + way].word.view()
+    fn slot(&self, set: usize, way: usize) -> &Slot {
+        &self.slots[set * self.ways + way]
     }
 
     /// The way of `set` holding `offset`, if resident.
     #[inline]
     fn way_of(&self, set: usize, offset: u64) -> Option<usize> {
-        (0..self.ways).find(|&w| {
-            let v = self.view_at(set, w);
-            v.resident() && v.offset == offset
-        })
+        (0..self.ways).find(|&w| self.slot(set, w).holds(offset))
     }
 
     /// Looks up the node at `offset`, updating LRU and hit/miss counters.
@@ -215,16 +219,9 @@ impl MetadataCache {
     /// order (STAR sorts these by address before MACing).
     pub fn set_nodes(&self, set: usize) -> Vec<(u64, SitNode, bool)> {
         (0..self.ways)
-            .filter_map(|w| {
-                let v = self.view_at(set, w);
-                v.resident().then(|| {
-                    (
-                        v.offset,
-                        self.slots[set * self.ways + w].node,
-                        v.state == DIRTY,
-                    )
-                })
-            })
+            .map(|w| self.slot(set, w))
+            .filter(|s| s.state != SlotState::Empty)
+            .map(|s| (s.offset, s.node, s.state == SlotState::Dirty))
             .collect()
     }
 
@@ -235,9 +232,9 @@ impl MetadataCache {
     pub fn dirty_set_nodes_into(&mut self, set: usize, out: &mut Vec<(u64, SitNode)>) {
         let before = out.len();
         for w in 0..self.ways {
-            let v = self.view_at(set, w);
-            if v.state == DIRTY {
-                out.push((v.offset, self.slots[set * self.ways + w].node));
+            let s = self.slot(set, w);
+            if s.state == SlotState::Dirty {
+                out.push((s.offset, s.node));
             }
         }
         self.flush_batch_hist.record((out.len() - before) as u64);
@@ -260,35 +257,23 @@ impl MetadataCache {
         self.way_of(self.set_of(offset), offset).is_some()
     }
 
-    /// Lock-free residency probe: one acquire load per way, no LRU or stat
-    /// side effects, callable from any thread sharing `&self` while the
-    /// owning shard mutates payloads under `&mut`. The sharded front-end
-    /// uses this to answer "is this node hot on that shard?" without taking
-    /// the shard lock.
-    pub fn probe(&self, offset: u64) -> Option<SlotProbe> {
-        let set = self.set_of(offset);
-        (0..self.ways).find_map(|w| {
-            let v = self.view_at(set, w);
-            (v.resident() && v.offset == offset).then(|| SlotProbe {
-                slot: self.flat(set, w),
-                dirty: v.state == DIRTY,
-            })
-        })
-    }
-
     /// Whether `offset` is resident and dirty.
     pub fn is_dirty(&self, offset: u64) -> bool {
-        self.probe(offset).map(|p| p.dirty).unwrap_or(false)
+        let set = self.set_of(offset);
+        self.way_of(set, offset)
+            .is_some_and(|w| self.slot(set, w).state == SlotState::Dirty)
     }
 
-    /// Marks a resident node dirty (single `CLEAN → DIRTY` CAS). Returns
-    /// `(slot, was_clean)`; panics if the node is absent (engine bug).
+    /// Marks a resident node dirty. Returns `(slot, was_clean)`; panics if
+    /// the node is absent (engine bug).
     pub fn mark_dirty(&mut self, offset: u64) -> (u64, bool) {
         let set = self.set_of(offset);
         let way = self
             .way_of(set, offset)
             .unwrap_or_else(|| panic!("mark_dirty on non-resident node offset {offset}"));
-        let was_clean = self.slots[set * self.ways + way].word.set_dirty(offset);
+        let s = &mut self.slots[set * self.ways + way];
+        let was_clean = s.state == SlotState::Clean;
+        s.state = SlotState::Dirty;
         if was_clean {
             self.dirty_count += 1;
             self.dirty_occ_hist.record(self.dirty_count);
@@ -296,12 +281,13 @@ impl MetadataCache {
         (self.flat(set, way), was_clean)
     }
 
-    /// Clears the dirty bit (after a flush that kept the node resident) —
-    /// a single `DIRTY → CLEAN` CAS.
+    /// Clears the dirty bit (after a flush that kept the node resident).
     pub fn mark_clean(&mut self, offset: u64) {
         let set = self.set_of(offset);
         if let Some(way) = self.way_of(set, offset) {
-            if self.slots[set * self.ways + way].word.set_clean(offset) {
+            let s = &mut self.slots[set * self.ways + way];
+            if s.state == SlotState::Dirty {
+                s.state = SlotState::Clean;
                 self.dirty_count -= 1;
             }
         }
@@ -320,25 +306,18 @@ impl MetadataCache {
     /// before the actual install.
     pub fn probe_victim(&self, offset: u64, pinned: &[u64]) -> Option<(u64, bool)> {
         let set = self.set_of(offset);
-        if (0..self.ways).any(|w| self.view_at(set, w).state == EMPTY) {
+        let ways = (0..self.ways).map(|w| self.slot(set, w));
+        if ways.clone().any(|s| s.state == SlotState::Empty) {
             return None;
         }
-        (0..self.ways)
-            .filter_map(|w| {
-                let v = self.view_at(set, w);
-                (v.resident() && !pinned.contains(&v.offset)).then_some((w, v))
-            })
-            .min_by_key(|&(w, _)| self.slots[set * self.ways + w].lru)
-            .map(|(_, v)| (v.offset, v.state == DIRTY))
+        ways.filter(|s| !pinned.contains(&s.offset))
+            .min_by_key(|s| s.lru)
+            .map(|s| (s.offset, s.state == SlotState::Dirty))
     }
 
     /// Like [`Self::install`], but never evicts a way holding one of the
     /// `pinned` offsets. The secure engine pins the ancestor chain it is
     /// operating on so recursive evictions cannot displace in-flight nodes.
-    ///
-    /// The install is a claim/publish cycle on the victim's state word: the
-    /// slot is `BUSY` (unreadable, un-evictable) between the CAS that
-    /// claims it and the release store that publishes the new tag.
     ///
     /// Panics if every way of the set is pinned — with ≥ 8 ways and tree
     /// heights ≤ 9 this needs a pathological set collision the shipped
@@ -358,36 +337,36 @@ impl MetadataCache {
             "install over resident node {offset} (duplicate would desync counters)"
         );
         // Pick an empty way, else the LRU way among resident non-pinned
-        // ones. BUSY (reserved) ways are never candidates.
+        // ones.
         let way = (0..self.ways)
-            .find(|&w| self.view_at(set, w).state == EMPTY)
+            .find(|&w| self.slot(set, w).state == SlotState::Empty)
             .or_else(|| {
                 (0..self.ways)
-                    .filter(|&w| {
-                        let v = self.view_at(set, w);
-                        v.resident() && !pinned.contains(&v.offset)
-                    })
-                    .min_by_key(|&w| self.slots[set * self.ways + w].lru)
+                    .filter(|&w| !pinned.contains(&self.slot(set, w).offset))
+                    .min_by_key(|&w| self.slot(set, w).lru)
             })
             .expect("metadata cache set fully pinned: associativity exhausted");
         let flat = self.flat(set, way);
         let s = &mut self.slots[flat as usize];
-        let old = s.word.view();
-        s.word
-            .try_claim(old, offset)
-            .expect("exclusive owner's claim cannot be contended");
-        let evicted = old.resident().then_some(EvictedNode {
-            offset: old.offset,
+        let evicted = (s.state != SlotState::Empty).then_some(EvictedNode {
+            offset: s.offset,
             node: s.node,
-            dirty: old.state == DIRTY,
+            dirty: s.state == SlotState::Dirty,
             slot: flat,
         });
-        if old.state == DIRTY {
+        if s.state == SlotState::Dirty {
             self.dirty_count -= 1;
         }
-        s.node = node;
-        s.lru = stamp;
-        s.word.publish(if dirty { DIRTY } else { CLEAN }, offset);
+        *s = Slot {
+            state: if dirty {
+                SlotState::Dirty
+            } else {
+                SlotState::Clean
+            },
+            offset,
+            node,
+            lru: stamp,
+        };
         if dirty {
             self.dirty_count += 1;
             self.dirty_occ_hist.record(self.dirty_count);
@@ -418,18 +397,21 @@ impl MetadataCache {
             "install_at over resident node {offset}"
         );
         let s = &mut self.slots[slot as usize];
-        s.word
-            .try_claim(
-                SlotView {
-                    state: EMPTY,
-                    offset: 0,
-                },
-                offset,
-            )
-            .unwrap_or_else(|v| panic!("install_at into occupied slot {slot} ({v:?})"));
-        s.node = node;
-        s.lru = stamp;
-        s.word.publish(if dirty { DIRTY } else { CLEAN }, offset);
+        assert!(
+            s.state == SlotState::Empty,
+            "install_at into occupied slot {slot} (holds offset {})",
+            s.offset
+        );
+        *s = Slot {
+            state: if dirty {
+                SlotState::Dirty
+            } else {
+                SlotState::Clean
+            },
+            offset,
+            node,
+            lru: stamp,
+        };
         if dirty {
             self.dirty_count += 1;
             self.dirty_occ_hist.record(self.dirty_count);
@@ -448,10 +430,8 @@ impl MetadataCache {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(flat, s)| {
-                let v = s.word.view();
-                (v.state == DIRTY).then_some((flat as u64, v.offset, s.node))
-            })
+            .filter(|(_, s)| s.state == SlotState::Dirty)
+            .map(|(flat, s)| (flat as u64, s.offset, s.node))
             .collect()
     }
 
@@ -460,20 +440,15 @@ impl MetadataCache {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(flat, s)| {
-                let v = s.word.view();
-                v.resident()
-                    .then_some((flat as u64, v.offset, s.node, v.state == DIRTY))
-            })
+            .filter(|(_, s)| s.state != SlotState::Empty)
+            .map(|(flat, s)| (flat as u64, s.offset, s.node, s.state == SlotState::Dirty))
             .collect()
     }
 
     /// Crash: every resident line vanishes.
     pub fn clear(&mut self) {
         for s in &mut self.slots {
-            s.word.reset();
-            s.node = SitNode::zero_general();
-            s.lru = 0;
+            *s = Slot::default();
         }
         self.dirty_count = 0;
     }
@@ -675,42 +650,28 @@ mod tests {
     }
 
     #[test]
-    fn probe_agrees_with_contains_and_dirty() {
+    fn mark_clean_decrements_dirty_count_once() {
         let mut c = tiny();
         c.install(0, SitNode::zero_general(), true);
         c.install(2, SitNode::zero_general(), false);
-        let p0 = c.probe(0).expect("resident");
-        assert!(p0.dirty);
-        assert_eq!(Some(p0.slot), c.slot_of(0));
-        let p2 = c.probe(2).expect("resident");
-        assert!(!p2.dirty);
-        assert!(c.probe(4).is_none());
-        // Probes leave LRU and hit/miss stats untouched.
-        assert_eq!(c.stats(), (0, 0));
+        assert_eq!(c.dirty_count(), 1);
+        c.mark_clean(0);
+        assert_eq!(c.dirty_count(), 0);
+        assert!(!c.is_dirty(0));
+        assert!(c.contains(0), "cleaning keeps the node resident");
+        // Not a transition: cleaning a clean or absent node changes nothing.
+        c.mark_clean(0);
+        c.mark_clean(2);
+        c.mark_clean(4);
+        assert_eq!(c.dirty_count(), 0);
+        let (_, was_clean) = c.mark_dirty(0);
+        assert!(was_clean, "a cleaned node transitions to dirty again");
+        assert_eq!(c.dirty_count(), 1);
     }
 
-    /// The cache is Sync: concurrent probes from many threads over `&self`
-    /// observe only published slot states.
     #[test]
-    fn concurrent_probes_are_consistent() {
-        let mut c = MetadataCache::new(MetaCacheConfig {
-            capacity_bytes: 64 * 64,
-            ways: 4,
-        });
-        for off in 0..32u64 {
-            c.install(off, SitNode::zero_general(), off % 2 == 0);
-        }
-        let c = &c;
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                s.spawn(move || {
-                    for round in 0..100 {
-                        let off = (t * 7 + round) % 32;
-                        let p = c.probe(off).expect("installed and never evicted");
-                        assert_eq!(p.dirty, off % 2 == 0);
-                    }
-                });
-            }
-        });
+    #[should_panic(expected = "mark_dirty on non-resident")]
+    fn mark_dirty_requires_residency() {
+        tiny().mark_dirty(5);
     }
 }

@@ -12,9 +12,8 @@
 //! * [`layout`] — the NVM address map (data, MAC, metadata, record,
 //!   shadow-table, bitmap regions),
 //! * [`cache`] — the memory-controller metadata cache, holding live node
-//!   values with CAS-based per-slot state words and true-LRU replacement,
-//! * [`slot_state`] — the atomic tag/state word those cache slots are
-//!   built on (EMPTY/CLEAN/DIRTY/BUSY with acquire/release transitions),
+//!   values with per-slot `Empty`/`Clean`/`Dirty` state and true-LRU
+//!   replacement,
 //! * [`shard`] — address striping across shard-local coordinate systems,
 //! * [`records`] — Steins' 4-byte-offset record lines (16 offsets / 64 B).
 
@@ -25,9 +24,8 @@ pub mod layout;
 pub mod node;
 pub mod records;
 pub mod shard;
-pub mod slot_state;
 
-pub use cache::{EvictedNode, MetadataCache, SlotProbe};
+pub use cache::{EvictedNode, MetadataCache};
 pub use counter::{
     CounterBlock, CounterMode, GeneralCounters, SplitCounters, CTR56_MAX, MINOR_MAX,
 };

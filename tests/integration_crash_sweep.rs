@@ -20,7 +20,7 @@ fn swept_cells() -> Vec<(SchemeKind, CounterMode)> {
 #[test]
 fn bounded_sweep_every_recoverable_combo_is_clean() {
     for (scheme, mode) in swept_cells() {
-        let sweep = CrashSweep::small(scheme, mode, 60, PointSelection::AtMost(20));
+        let sweep = CrashSweep::small(scheme, mode, 1, 60, PointSelection::AtMost(20));
         let report = sweep.run();
         assert!(report.total_points > 0, "{scheme:?}/{mode:?}");
         assert!(report.clean(), "{scheme:?}/{mode:?}:\n{report}");
@@ -32,7 +32,13 @@ fn bounded_sweep_wb_refuses_recovery_at_every_point() {
     // WB's contract is the inverse: recovery must *fail* everywhere, which
     // the harness scores as a pass (RecoveryUnsupported).
     for mode in [CounterMode::General, CounterMode::Split] {
-        let sweep = CrashSweep::small(SchemeKind::WriteBack, mode, 40, PointSelection::AtMost(12));
+        let sweep = CrashSweep::small(
+            SchemeKind::WriteBack,
+            mode,
+            1,
+            40,
+            PointSelection::AtMost(12),
+        );
         let report = sweep.run();
         assert!(report.clean(), "{mode:?}:\n{report}");
     }
@@ -44,6 +50,7 @@ fn sweep_is_deterministic_across_runs() {
         let sweep = CrashSweep::small(
             SchemeKind::Steins,
             CounterMode::General,
+            1,
             30,
             PointSelection::AtMost(8),
         );
