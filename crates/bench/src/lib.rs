@@ -17,6 +17,8 @@
 //! its full metric registry (tail-latency histograms, device/cache/metadata
 //! counters) as `results/METRICS_<run>.json` — see [`metrics`].
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use steins_core::{RunReport, SchemeKind, SystemConfig};
 use steins_metadata::CounterMode;

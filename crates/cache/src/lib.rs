@@ -13,6 +13,8 @@
 //!   configurable non-memory IPC and bounded outstanding misses; it converts
 //!   memory-system latencies into execution cycles (Fig. 9/12's metric).
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod hierarchy;
 pub mod prefetch;

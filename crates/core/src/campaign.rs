@@ -41,7 +41,7 @@ use crate::engine::synth_data;
 use crate::online::{OnlinePolicy, OnlineService};
 use crate::par;
 use crate::scrub::ScrubReport;
-use crate::shard::{RepairOutcome, RepairPolicy, ShardedEngine};
+use crate::shard::{RepairOutcome, ShardedEngine};
 
 /// The six supported (scheme, counter-mode) combinations: ASIT and STAR are
 /// general-counter designs (split-counter variants are out of scope by
@@ -1286,15 +1286,7 @@ fn serve_chaos_shard(
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     silence_crash_trips();
     let sys_cfg = SystemConfig::small_for_tests(SchemeKind::Steins, cfg.mode);
-    let mut engine = ShardedEngine::new(sys_cfg, cfg.shards);
-    if cfg.repair {
-        // The rebuilt shard comes back with the run's own online policy.
-        engine.set_repair_policy(RepairPolicy {
-            online: cfg.policy,
-            ..RepairPolicy::default()
-        });
-    }
-    let engine = engine;
+    let engine = ShardedEngine::new(sys_cfg, cfg.shards);
     if cfg.scrub {
         engine.enable_online(cfg.policy);
     }

@@ -451,8 +451,8 @@ pub struct CrashSweep {
     pub max_failures: usize,
     /// Lane-mark override for every recovery the nested probes run
     /// (`None` = the `STEINS_RECOVERY_WORKERS` env default). With > 1 the
-    /// interrupted attempts leave *laned* ADR journals, so the sweep
-    /// exercises resume-from-marks instead of resume-from-prefix.
+    /// interrupted attempts leave multi-lane ADR journals, so the sweep
+    /// exercises resume from several region marks instead of one prefix.
     pub recovery_lanes: Option<usize>,
 }
 

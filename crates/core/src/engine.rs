@@ -123,15 +123,6 @@ impl SecureMemoryController {
         self.nvm.set_recovery_journal(journal, mac);
     }
 
-    /// Temporary diagnostic watchpoint (STEINS_WATCH=child_offset).
-    fn watch(&self, what: &str, offset: u64, extra: u64) {
-        if let Ok(w) = std::env::var("STEINS_WATCH") {
-            if w.parse::<u64>() == Ok(offset) {
-                eprintln!("[watch {offset}] {what} extra={extra}");
-            }
-        }
-    }
-
     /// Whether Steins is the active scheme.
     fn is_steins(&self) -> bool {
         matches!(self.cfg.scheme, SchemeKind::Steins)
@@ -593,10 +584,8 @@ impl SecureMemoryController {
                     Some((pid, slot)) => {
                         let poff = self.layout.geometry.offset_of(pid);
                         if self.meta.contains(poff) {
-                            self.watch("apply-direct", offset, p_new);
                             t = self.steins_apply_parent(t, id, pid, slot, p_new)?;
                         } else {
-                            self.watch("park", offset, p_new);
                             self.scheme.steins().nv_buffer.push(NvBufferEntry {
                                 child_offset: offset,
                                 generated: p_new,
@@ -702,10 +691,8 @@ impl SecureMemoryController {
         if p_new <= p_old {
             // Already applied (a later flush of the same child raced ahead
             // through the buffer); nothing to do.
-            self.watch("apply-skip", self.layout.geometry.offset_of(child), p_old);
             return Ok(t);
         }
-        self.watch("apply", self.layout.geometry.offset_of(child), p_new);
         let delta = p_new - p_old;
         let pre = p;
         p.counters.as_general_mut().set(slot, p_new);

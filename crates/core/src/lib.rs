@@ -32,6 +32,8 @@
 //!   the paper (and this engine) build on the SIT instead.
 //! * [`report`] — run metrics backing every figure of §IV.
 
+#![forbid(unsafe_code)]
+
 pub mod attack;
 pub mod bmt;
 pub mod cachetree;
@@ -66,7 +68,7 @@ pub use online::{OnlinePolicy, OnlineService};
 pub use recovery::RecoveryReport;
 pub use report::RunReport;
 pub use scrub::{ScrubReport, Verdict};
-pub use shard::{ParallelRecovery, RepairOutcome, RepairPolicy, ShardedEngine};
+pub use shard::{ParallelRecovery, RepairOutcome, ShardedEngine};
 
 // Re-export the counter mode so downstream users need only this crate.
 pub use steins_metadata::CounterMode;

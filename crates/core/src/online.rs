@@ -253,10 +253,10 @@ impl OnlineService {
     /// The cursor a crashed image's journal proves the interrupted pass
     /// had reached, when the journal is in the [`journal::ONLINE`] phase
     /// (per-lane marks over `lines` data lines, [`par::lane_spans`]
-    /// layout — the same single↔multi-lane compatibility contract
+    /// layout — the same cross-lane-count compatibility contract
     /// parallel recovery uses).
     pub fn resume_cursor(j: &RecoveryJournal, lines: u64) -> Option<u64> {
-        if j.phase != journal::ONLINE || j.lanes == 0 {
+        if j.phase != journal::ONLINE {
             return None;
         }
         let covered: u64 = par::lane_spans(lines as usize, j.lanes as usize)

@@ -92,28 +92,22 @@ pub mod journal {
 /// The set of canonical item indices an interrupted rebuild's journal
 /// proves durably completed, as a mask over `0..n`.
 ///
-/// A single-threaded-era journal (`lanes == 0`) covers the first `hwm`
-/// items. A laned journal covers, for each lane `l`, the first `marks[l]`
-/// items of lane `l`'s contiguous region ([`par::lane_spans`] over the
-/// *prior* attempt's lane count — the current attempt may run with a
-/// different worker count and still reads the old layout correctly, which
-/// is the whole single↔multi-lane compatibility contract).
+/// The journal covers, for each lane `l`, the first `marks[l]` items of
+/// lane `l`'s contiguous region ([`par::lane_spans`] over the *prior*
+/// attempt's lane count — the current attempt may run with a different
+/// worker count and still reads the old partition correctly, which is the
+/// whole cross-lane-count compatibility contract). A one-lane journal
+/// covers a canonical prefix.
 fn journal_cover(prior: &RecoveryJournal, n: usize) -> Vec<bool> {
     let mut cover = vec![false; n];
-    if prior.lanes == 0 {
-        for c in cover.iter_mut().take((prior.hwm as usize).min(n)) {
+    // Defensive clamp: every journal that reaches here has passed the MAC
+    // check, but the cover computation itself must stay in-bounds for any
+    // lane count the type can express.
+    let lanes = (prior.lanes as usize).min(steins_nvm::RECOVERY_LANES);
+    for (l, (s, e)) in par::lane_spans(n, lanes).into_iter().enumerate() {
+        let done = (prior.marks[l] as usize).min(e - s);
+        for c in cover.iter_mut().skip(s).take(done) {
             *c = true;
-        }
-    } else {
-        // Defensive clamp: every journal that reaches here has passed the
-        // MAC check, but the cover computation itself must stay in-bounds
-        // for any lane count the type can express.
-        let lanes = (prior.lanes as usize).min(steins_nvm::RECOVERY_LANES);
-        for (l, (s, e)) in par::lane_spans(n, lanes).into_iter().enumerate() {
-            let done = (prior.marks[l] as usize).min(e - s);
-            for c in cover.iter_mut().skip(s).take(done) {
-                *c = true;
-            }
         }
     }
     cover
@@ -141,10 +135,12 @@ pub(crate) fn journal_authentic(crypto: &dyn CryptoEngine, nvm: &NvmDevice) -> b
     nvm.journal_mac() == seal_journal(crypto, &j)
 }
 
-/// Journals rebuild-loop progress in the layout the lane count selects:
-/// the legacy single-mark form for one lane (byte-identical to the
-/// pre-parallel recoverer), per-lane mark slots otherwise. `done` is the
-/// canonical index count completed so far out of `total`.
+/// Journals rebuild-loop progress over `lanes` contiguous regions
+/// ([`par::lane_spans`]): `done` is the canonical index count completed so
+/// far out of `total`, and each region's mark is its share of that prefix.
+/// Phase openers and the terminal `DONE` entry are one-lane journals
+/// (`lanes = 1`, `total = done`), so they read the same whatever worker
+/// count wrote them.
 pub(crate) fn progress_journal(
     phase: u8,
     restarts: u32,
@@ -152,9 +148,7 @@ pub(crate) fn progress_journal(
     total: usize,
     done: usize,
 ) -> RecoveryJournal {
-    if lanes <= 1 {
-        return RecoveryJournal::single(phase, done as u64, restarts);
-    }
+    let lanes = lanes.clamp(1, steins_nvm::RECOVERY_LANES);
     let mut marks = [0u64; steins_nvm::RECOVERY_LANES];
     for (l, (s, e)) in par::lane_spans(total, lanes).into_iter().enumerate() {
         marks[l] = (done.min(e) - s.min(done)) as u64;
@@ -721,7 +715,6 @@ impl CrashedSystem {
             n,
             0,
         ));
-        let total = n as u64;
         for (i, ((off, node), slot)) in ordered.into_iter().enumerate() {
             let id = geo.node_at_offset(off);
             match slot {
@@ -741,11 +734,8 @@ impl CrashedSystem {
             ));
         }
         // Rewrite the record region to match the slot assignment.
-        sys.ctrl.journal_write(RecoveryJournal::single(
-            journal::STEINS_RECORDS,
-            0,
-            restarts,
-        ));
+        sys.ctrl
+            .journal_write(progress_journal(journal::STEINS_RECORDS, restarts, 1, 0, 0));
         let slots = cfg.meta_cache.slots();
         let rec_lines = slots.div_ceil(RECORDS_PER_LINE) as usize;
         let mut lines = vec![RecordLine::default(); rec_lines];
@@ -764,7 +754,7 @@ impl CrashedSystem {
             st.nv_buffer = NvBuffer::new(cfg.nv_buffer_bytes);
         }
         sys.ctrl
-            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts));
+            .journal_write(progress_journal(journal::DONE, restarts, 1, n, n));
         sys.ctrl.nvm.reset_stats();
         Ok(())
     }
@@ -954,7 +944,6 @@ impl CrashedSystem {
             n,
             0,
         ));
-        let total = n as u64;
         for (i, (slot, off, node)) in items.into_iter().enumerate() {
             sys.ctrl.meta.install_at(slot, off, node, true);
             sys.ctrl.asit_slot_update(0, off);
@@ -967,7 +956,7 @@ impl CrashedSystem {
             ));
         }
         sys.ctrl
-            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts));
+            .journal_write(progress_journal(journal::DONE, restarts, 1, n, n));
         sys.ctrl.nvm.reset_stats();
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
@@ -1079,9 +1068,8 @@ impl CrashedSystem {
         //    recovered node; an *interrupted rebuild's* register covers
         //    exactly the items its journal marks record — the journal write
         //    is the only persist boundary in the rebuild loop and always
-        //    follows the register update for the same item. A legacy
-        //    journal proves a canonical prefix; a laned journal proves the
-        //    union of each lane-region's completed prefix
+        //    follows the register update for the same item. The journal
+        //    proves the union of each lane-region's completed prefix
         //    ([`journal_cover`]) — the prior attempt's lane count decides
         //    the partition, whatever this attempt runs with.
         let cover = if prior.phase == journal::STAR_REBUILD {
@@ -1169,7 +1157,6 @@ impl CrashedSystem {
         // the journal marks. Every dirty set was fully resident at crash
         // time, so no install can overflow its set (no evictions, no
         // durable node writes).
-        let total = n as u64;
         for (i, (off, node)) in items.into_iter().enumerate() {
             let id = geo.node_at_offset(off);
             sys.ctrl.install_node(0, id, node, true)?;
@@ -1184,7 +1171,7 @@ impl CrashedSystem {
             ));
         }
         sys.ctrl
-            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts));
+            .journal_write(progress_journal(journal::DONE, restarts, 1, n, n));
         sys.ctrl.nvm.reset_stats();
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
@@ -1353,19 +1340,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_cover_legacy_is_a_prefix() {
-        let j = RecoveryJournal::single(journal::STAR_REBUILD, 3, 0);
-        assert_eq!(
-            journal_cover(&j, 5),
-            vec![true, true, true, false, false],
-            "legacy hwm covers a canonical prefix"
-        );
-        // Overlong hwm saturates.
-        let j = RecoveryJournal::single(journal::STAR_REBUILD, 99, 0);
-        assert_eq!(journal_cover(&j, 3), vec![true; 3]);
-    }
-
-    #[test]
     fn journal_cover_laned_is_a_union_of_region_prefixes() {
         // 10 items, 4 lanes → regions of 3: [0,3) [3,6) [6,9) [9,10).
         let mut marks = [0u64; steins_nvm::RECOVERY_LANES];
@@ -1386,19 +1360,20 @@ mod tests {
 
     #[test]
     fn progress_journal_layouts_agree_on_totals() {
-        // One lane: byte-identical to the single-threaded-era journal.
+        // One lane: the whole count sits in the first mark.
+        let mut marks = [0u64; steins_nvm::RECOVERY_LANES];
+        marks[0] = 7;
         assert_eq!(
             progress_journal(journal::STEINS_REBUILD, 2, 1, 10, 7),
-            RecoveryJournal::single(journal::STEINS_REBUILD, 7, 2)
+            RecoveryJournal::laned(journal::STEINS_REBUILD, 2, 1, marks)
         );
-        // Multi-lane: marks staircase over the regions, hwm = sum.
-        for lanes in 2..=8usize {
+        // Any lane count: marks staircase over the regions, hwm = sum.
+        for lanes in 1..=8usize {
             for n in [0usize, 1, 5, 10, 64] {
                 for done in 0..=n {
                     let j = progress_journal(journal::ASIT_REPLAY, 0, lanes, n, done);
                     assert_eq!(j.lanes as usize, lanes);
                     assert_eq!(j.hwm, done as u64, "lanes={lanes} n={n} done={done}");
-                    assert_eq!(j.progress(), done as u64);
                     // The cover of a staircase journal is exactly the
                     // canonical prefix the sequential loop completed.
                     let cover = journal_cover(&j, n);

@@ -401,9 +401,7 @@ impl CrashedSystem {
         //       rewrites from the untouched data plane. Under a multi-lane
         //       scrub the journal additionally tracks per-lane rewrite
         //       marks (same layout as strict recovery's rebuild phases);
-        //       one lane keeps the single-threaded-era journal byte-for-
-        //       byte, marks untouched.
-        let rewritten = n_rewrites as u64;
+        //       a one-lane scrub journals only the opener and `DONE`.
         for (i, (addr, line)) in rewrites.into_iter().enumerate() {
             sys.ctrl.nvm.poke(addr, &line);
             if lanes > 1 {
@@ -434,10 +432,12 @@ impl CrashedSystem {
                 .nvm
                 .poke(sys.ctrl.layout.bitmap_base + l * 64, &[0u8; 64]);
         }
-        sys.ctrl.journal_write(steins_nvm::RecoveryJournal::single(
+        sys.ctrl.journal_write(crate::recovery::progress_journal(
             crate::recovery::journal::DONE,
-            rewritten,
             restarts32,
+            1,
+            n_rewrites,
+            n_rewrites,
         ));
         sys.ctrl.nvm.disarm_crash();
         sys.ctrl.nvm.reset_stats();
@@ -680,10 +680,12 @@ mod tests {
             let mut sys = sys.unwrap();
             assert_eq!(
                 sys.ctrl.nvm.recovery_journal(),
-                steins_nvm::RecoveryJournal::single(
+                crate::recovery::progress_journal(
                     crate::recovery::journal::DONE,
-                    report.meta_recovered,
-                    0
+                    0,
+                    1,
+                    report.meta_recovered as usize,
+                    report.meta_recovered as usize,
                 ),
                 "lanes={lanes}: terminal journal is layout-free"
             );

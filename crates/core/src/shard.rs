@@ -18,7 +18,6 @@
 //! while the target recovers, and a second crash during one shard's
 //! recovery restarts only that shard.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use steins_metadata::{ShardMap, StripeMode};
@@ -33,48 +32,46 @@ use crate::par;
 use crate::recovery::{journal, RecoveryReport};
 use crate::scrub::ScrubReport;
 
-/// Shard lifecycle states for the self-healing repair loop.
+/// Repair attempts a shard may consume before it is parked permanently.
+const MAX_REPAIR_ATTEMPTS: u32 = 3;
+
+/// Base of the exponential retry backoff: after failed attempt `k`
+/// (1-based) the next attempt is gated until
+/// `now + REPAIR_BACKOFF_BASE_CYCLES << (k - 1)` modeled cycles.
+const REPAIR_BACKOFF_BASE_CYCLES: u64 = 1024;
+
+/// Where a shard stands in the serve/repair lifecycle. Every change goes
+/// through [`ShardedEngine::transition`].
 ///
-/// `Serving → Degraded` on any park ([`ShardedEngine::mark_degraded`]),
-/// `Degraded → Rebuilding` when a repair attempt claims the shard,
-/// `Rebuilding → Serving` when the rebuilt system is re-admitted, and
-/// `Rebuilding → Degraded` when a scrub attempt fails (retryable after
-/// backoff) or `→ Parked` once the attempt budget is spent. `Parked` is
-/// terminal for the automatic loop; only an operator [`ShardedEngine::put_shard`]
-/// un-parks it.
-mod shard_state {
-    pub const SERVING: u8 = 0;
-    pub const DEGRADED: u8 = 1;
-    pub const REBUILDING: u8 = 2;
-    pub const PARKED: u8 = 3;
+/// `Serving → Degraded` on any park, `Degraded → Rebuilding` when a repair
+/// attempt claims the shard, `Rebuilding → Serving` when the rebuilt
+/// system is re-admitted, `Rebuilding → Degraded` when an attempt fails
+/// (retryable after backoff), and `Degraded | Rebuilding → Parked` once
+/// the attempt budget is spent or nothing is left to rebuild from.
+/// Installing a system returns any state to `Serving`; it is the only way
+/// out of `Parked`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Lifecycle {
+    Serving,
+    Degraded,
+    Rebuilding,
+    Parked,
 }
 
-/// Knobs for the background shard-repair loop
-/// ([`ShardedEngine::repair_shard`]).
-#[derive(Clone, Copy, Debug)]
-pub struct RepairPolicy {
-    /// Repair attempts a shard may consume before it is parked
-    /// permanently (state `Parked`; only an operator
-    /// [`ShardedEngine::put_shard`] revives it).
-    pub max_attempts: u32,
-    /// Base of the exponential retry backoff: after failed attempt `k`
-    /// (1-based) the next attempt is gated until
-    /// `now + backoff_base_cycles << (k - 1)` modeled cycles. Callers
-    /// passing `now = u64::MAX` (a forced/operator retry) bypass the gate.
-    pub backoff_base_cycles: u64,
-    /// Online-service policy re-armed on the rebuilt system before it is
-    /// re-admitted (the pre-crash service state is volatile and lost).
-    pub online: OnlinePolicy,
-}
-
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        RepairPolicy {
-            max_attempts: 3,
-            backoff_base_cycles: 1024,
-            online: OnlinePolicy::default(),
-        }
-    }
+/// What happened to a shard, as [`ShardedEngine::transition`] sees it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Event {
+    /// A holder died mid-operation, an explicit park, or a scrub that
+    /// could not rebuild a system.
+    Degrade,
+    /// A repair attempt claims the shard.
+    Claim,
+    /// A repair attempt failed and may be retried after backoff.
+    Retry,
+    /// The attempt budget is spent, or nothing is left to rebuild from.
+    Park,
+    /// A system was installed into the slot.
+    Install,
 }
 
 /// What one [`ShardedEngine::repair_shard`] attempt did.
@@ -98,13 +95,65 @@ pub enum RepairOutcome {
     /// The attempt budget is spent (or there is nothing left to rebuild
     /// from): the shard is parked permanently pending operator action.
     Parked,
-    /// The shard is serving; there is nothing to repair.
+    /// The shard is serving, or another attempt is rebuilding it; there is
+    /// nothing for this call to repair.
     NotDegraded,
 }
 
 /// A crashed image plus the quarantine set captured before the plug was
 /// pulled, parked between repair attempts.
 type StashedImage = (CrashedSystem, Vec<u64>);
+
+/// One shard's slot: its system and every piece of its lifecycle state,
+/// all under the one lock that serializes the shard's operations.
+struct Shard {
+    /// The live system; empty while crashed, taken or rebuilding.
+    sys: Option<SecureNvmSystem>,
+    life: Lifecycle,
+    /// "Operation in flight": the engine's own poison flag. Raised around
+    /// every call into the system; a panic unwinding through the call
+    /// leaves it set, and the next [`ShardedEngine::guard`] parks the
+    /// shard `Degraded`. Unlike `std`'s sticky mutex poison (whose
+    /// `clear_poison` needs Rust 1.77, above this crate's MSRV), it is
+    /// cleared when a system is installed.
+    mid_op: bool,
+    /// Repair attempts consumed since the last install.
+    attempts: u32,
+    /// Modeled cycle before which the next repair attempt is refused.
+    next_repair_at: u64,
+    /// Crashed image + captured quarantine set kept between attempts (a
+    /// refused attempt parks its inputs here so the retry does not need
+    /// the caller to re-supply them).
+    stash: Option<StashedImage>,
+    /// The policy most recently installed by
+    /// [`ShardedEngine::enable_online`]; a repaired system re-arms with it
+    /// (the pre-crash service state is volatile and lost).
+    online: OnlinePolicy,
+}
+
+impl Shard {
+    fn new(sys: SecureNvmSystem) -> Self {
+        Shard {
+            sys: Some(sys),
+            life: Lifecycle::Serving,
+            mid_op: false,
+            attempts: 0,
+            next_repair_at: 0,
+            stash: None,
+            online: OnlinePolicy::default(),
+        }
+    }
+
+    /// Runs `f` on the live system with the mid-op marker raised, or
+    /// returns `None` when the slot is empty.
+    fn run<R>(&mut self, f: impl FnOnce(&mut SecureNvmSystem) -> R) -> Option<R> {
+        let sys = self.sys.as_mut()?;
+        self.mid_op = true;
+        let r = f(sys);
+        self.mid_op = false;
+        Some(r)
+    }
+}
 
 /// N independent secure-memory controllers behind one address space.
 ///
@@ -113,48 +162,21 @@ type StashedImage = (CrashedSystem, Vec<u64>);
 /// `data_lines / N` lines with a `1/N` slice of the metadata-cache budget —
 /// serves the request under its own mutex. All methods take `&self`, so
 /// any number of threads may drive disjoint shards concurrently.
+///
+/// A shard out of service (crashed, taken, parked `Degraded` after a torn
+/// operation, or in the repair loop) fails requests with
+/// [`IntegrityError::ShardDegraded`] instead of serving or panicking.
 pub struct ShardedEngine {
     map: ShardMap,
     shard_cfg: SystemConfig,
-    shards: Vec<Mutex<Option<SecureNvmSystem>>>,
-    /// Per-shard degraded flags. A degraded shard fails requests with
-    /// [`IntegrityError::ShardDegraded`] instead of serving (or panicking);
-    /// [`Self::put_shard`] clears the flag when a recovered system is
-    /// reinstated. Set on: a torn shard operation (a holder panicked
-    /// mid-operation, so the in-memory state is suspect), an explicit
-    /// [`Self::park_degraded`], or a scrub that could not rebuild a system.
-    degraded: Vec<AtomicBool>,
-    /// Per-shard "operation in flight" markers — the engine's own poison
-    /// flag. Set under the shard lock before calling into the system and
-    /// cleared after it returns; a panic unwinding through the call leaves
-    /// it set, and the next [`Self::guard`] parks the shard `Degraded`.
-    /// Unlike `std`'s sticky mutex poison (whose `clear_poison` needs Rust
-    /// 1.77, above this crate's MSRV), this flag is resettable: a
-    /// recovered system reinstated via [`Self::put_shard`] serves again.
-    mid_op: Vec<AtomicBool>,
-    /// Engine-level lifecycle alarms: `ShardDegraded` transitions raised
-    /// by the engine itself, plus harness-observed events recorded via
+    shards: Vec<Mutex<Shard>>,
+    /// Engine-level lifecycle alarms: the alarms [`Self::transition`]
+    /// raises, plus harness-observed events recorded via
     /// [`Self::raise_alarm`] (e.g. torn writes in the chaos campaign).
     /// Per-shard *service* alarms live inside each shard's
     /// [`crate::online::OnlineService`]; [`Self::drain_alarms`] merges
     /// both in deterministic order.
     alarms: Mutex<AlarmLog>,
-    /// Per-shard repair lifecycle state ([`shard_state`]). Tracks the
-    /// `Serving → Degraded → Rebuilding → Serving | Parked` machine the
-    /// repair loop drives; `degraded` stays the fast-path serving gate.
-    state: Vec<AtomicU8>,
-    /// Repair attempts consumed per shard ([`RepairPolicy::max_attempts`]
-    /// bounds them; [`Self::put_shard`] resets the count).
-    repair_attempts: Vec<AtomicU32>,
-    /// Modeled-cycle gate before which the next repair attempt is refused
-    /// ([`RepairOutcome::Backoff`]). `u64::MAX` as `now` bypasses it.
-    next_repair_at: Vec<AtomicU64>,
-    /// Crashed image + captured quarantine set stashed between repair
-    /// attempts (a backoff-refused attempt parks its inputs here so the
-    /// retry does not need the caller to re-supply them).
-    parked_images: Vec<Mutex<Option<StashedImage>>>,
-    /// Knobs for the repair loop (see [`RepairPolicy`]).
-    repair_policy: RepairPolicy,
 }
 
 impl ShardedEngine {
@@ -172,45 +194,19 @@ impl ShardedEngine {
         cfg.data_lines -= cfg.data_lines % shards as u64;
         let map = ShardMap::new(mode, shards, cfg.data_lines);
         let shard_cfg = Self::split_config(&cfg, shards);
-        let insts = (0..shards)
+        let shards = (0..shards)
             .map(|i| {
                 let mut sys = SecureNvmSystem::new(shard_cfg.clone());
                 sys.ctrl.nvm.set_shard(i as u16);
-                Mutex::new(Some(sys))
+                Mutex::new(Shard::new(sys))
             })
             .collect();
-        let degraded = (0..shards).map(|_| AtomicBool::new(false)).collect();
-        let mid_op = (0..shards).map(|_| AtomicBool::new(false)).collect();
-        let state = (0..shards)
-            .map(|_| AtomicU8::new(shard_state::SERVING))
-            .collect();
-        let repair_attempts = (0..shards).map(|_| AtomicU32::new(0)).collect();
-        let next_repair_at = (0..shards).map(|_| AtomicU64::new(0)).collect();
-        let parked_images = (0..shards).map(|_| Mutex::new(None)).collect();
         ShardedEngine {
             map,
             shard_cfg,
-            shards: insts,
-            degraded,
-            mid_op,
+            shards,
             alarms: Mutex::new(AlarmLog::new()),
-            state,
-            repair_attempts,
-            next_repair_at,
-            parked_images,
-            repair_policy: RepairPolicy::default(),
         }
-    }
-
-    /// Replaces the repair-loop knobs (construction-time configuration;
-    /// the default is [`RepairPolicy::default`]).
-    pub fn set_repair_policy(&mut self, policy: RepairPolicy) {
-        self.repair_policy = policy;
-    }
-
-    /// The repair-loop knobs in force.
-    pub fn repair_policy(&self) -> RepairPolicy {
-        self.repair_policy
     }
 
     /// The per-shard configuration a global `cfg` splits into: `1/N` of the
@@ -239,46 +235,60 @@ impl ShardedEngine {
         &self.shard_cfg
     }
 
-    /// Locks shard `s`, recovering the guard if a previous holder panicked
-    /// (the crash harness unwinds [`CrashTripped`] through these locks by
-    /// design; the shard's state is exactly what the power cut left).
-    /// If the previous holder died mid-operation (its [`Self::mid_op`]
-    /// marker is still set), the shard is parked `Degraded`: until a
-    /// recovered system is reinstated ([`Self::put_shard`]) it must fail
-    /// typed rather than serve suspect state — and must never panic a
-    /// *neighbor's* request.
-    fn guard(&self, s: usize) -> MutexGuard<'_, Option<SecureNvmSystem>> {
-        let g = match self.shards[s].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+    /// Locks shard `s`'s slot, recovering the guard if a previous holder
+    /// panicked (the crash harness unwinds `CrashTripped` through these
+    /// locks by design; the slot holds exactly what the power cut left).
+    fn lock(&self, s: usize) -> MutexGuard<'_, Shard> {
+        self.shards[s].lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// [`Self::lock`], parking the shard `Degraded` first if the previous
+    /// holder died mid-operation: until a system is reinstated
+    /// ([`Self::put_shard`]) it must fail typed rather than serve suspect
+    /// state — and must never panic a *neighbor's* request.
+    fn guard(&self, s: usize) -> MutexGuard<'_, Shard> {
+        let mut g = self.lock(s);
         // Checked under the lock, so a set marker can only mean a previous
         // holder unwound mid-call — not a concurrent op in progress.
-        if self.mid_op[s].load(Ordering::Acquire) {
-            self.mark_degraded(s);
+        if g.mid_op {
+            self.transition(s, &mut g, Event::Degrade);
         }
         g
     }
 
-    /// Parks shard `s` `Degraded`, raising a `ShardDegraded` alarm on the
-    /// false→true transition only. Lifecycle alarms carry cycle stamp 0:
-    /// the engine has no global clock, and a constant stamp keeps the
-    /// merged alarm log byte-identical across host thread schedules.
-    fn mark_degraded(&self, s: usize) {
-        // The lifecycle state leaves `Serving` with the flag; a shard
-        // already `Rebuilding` or `Parked` keeps its repair state.
-        let _ = self.state[s].compare_exchange(
-            shard_state::SERVING,
-            shard_state::DEGRADED,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-        if self.degraded[s]
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
+    /// The one lifecycle transition: applies `event` to shard `s`'s slot
+    /// and raises the alarm its edge carries — `ShardDegraded` on
+    /// `Serving → Degraded`, `ShardRepairStarted` on
+    /// `Degraded → Rebuilding`, `ShardRestored` on `Rebuilding → Serving`.
+    /// An edge the lifecycle does not have leaves the state alone and
+    /// raises nothing, so parking a shard already out of service is
+    /// silent. `Install` also resets the repair state (mid-op marker,
+    /// attempt count, backoff gate, stashed image) from any state.
+    ///
+    /// Lifecycle alarms carry cycle stamp 0: the engine has no global
+    /// clock, and a constant stamp keeps the merged alarm log
+    /// byte-identical across host thread schedules.
+    fn transition(&self, s: usize, shard: &mut Shard, event: Event) {
+        use Lifecycle::{Degraded, Parked, Rebuilding, Serving};
+        let (next, alarm) = match (shard.life, event) {
+            (Serving, Event::Degrade) => (Degraded, Some(AlarmKind::ShardDegraded)),
+            (Degraded, Event::Claim) => (Rebuilding, Some(AlarmKind::ShardRepairStarted)),
+            (Rebuilding, Event::Retry) => (Degraded, None),
+            (Degraded | Rebuilding, Event::Park) => (Parked, None),
+            (Rebuilding, Event::Install) => (Serving, Some(AlarmKind::ShardRestored)),
+            (_, Event::Install) => (Serving, None),
+            (life, _) => (life, None),
+        };
+        shard.life = next;
+        if event == Event::Install {
+            shard.mid_op = false;
+            shard.attempts = 0;
+            shard.next_repair_at = 0;
+            shard.stash = None;
+        }
+        if let Some(kind) = alarm {
             self.raise_alarm(Alarm {
-                kind: AlarmKind::ShardDegraded,
+                kind,
                 shard: s as u16,
                 addr: None,
                 cycle: 0,
@@ -294,23 +304,14 @@ impl ShardedEngine {
             .raise(alarm);
     }
 
-    /// Runs `f` with the mid-op marker raised: a panic unwinding out of
-    /// `f` leaves the marker set, which parks the shard `Degraded` at the
-    /// next lock acquisition. Call only while holding shard `s`'s guard.
-    fn marked<R>(&self, s: usize, f: impl FnOnce() -> R) -> R {
-        self.mid_op[s].store(true, Ordering::Release);
-        let r = f();
-        self.mid_op[s].store(false, Ordering::Release);
-        r
-    }
-
-    /// Whether shard `s` is parked `Degraded` (poisoned lock, explicit
-    /// park, or an unrecoverable scrub).
+    /// Whether shard `s` is out of service: parked `Degraded` (torn
+    /// operation, explicit park, or an unrecoverable scrub), in the repair
+    /// loop, or permanently `Parked`.
     pub fn is_degraded(&self, s: usize) -> bool {
-        self.degraded[s].load(Ordering::Acquire)
+        self.lock(s).life != Lifecycle::Serving
     }
 
-    /// Shards currently parked `Degraded`, in shard order.
+    /// Shards currently out of service, in shard order.
     pub fn degraded_shards(&self) -> Vec<u16> {
         (0..self.shards())
             .filter(|&s| self.is_degraded(s))
@@ -322,7 +323,7 @@ impl ShardedEngine {
     /// budget is spent (or there was nothing left to rebuild from) and
     /// only an operator [`Self::put_shard`] revives it.
     pub fn is_parked(&self, s: usize) -> bool {
-        self.state[s].load(Ordering::Acquire) == shard_state::PARKED
+        self.lock(s).life == Lifecycle::Parked
     }
 
     /// Shards permanently `Parked`, in shard order.
@@ -339,31 +340,39 @@ impl ShardedEngine {
     /// [`Self::put_shard`] reinstates a recovered system.
     pub fn park_degraded(&self, s: usize) -> Option<SecureNvmSystem> {
         let mut g = self.guard(s);
-        self.mark_degraded(s);
-        g.take()
+        self.transition(s, &mut g, Event::Degrade);
+        g.sys.take()
+    }
+
+    /// Routes `addr` and runs `op` on the owning shard's system at the
+    /// local address, with the mid-op marker raised. A request routed to
+    /// a degraded or crashed/taken shard fails typed — a fault on one
+    /// shard never panics traffic on the engine.
+    fn serve<R>(
+        &self,
+        addr: u64,
+        op: impl FnOnce(&mut SecureNvmSystem, u64) -> Result<R, IntegrityError>,
+    ) -> Result<R, IntegrityError> {
+        let (s, local) = self.map.route(addr);
+        let mut g = self.guard(s);
+        let served = match g.life {
+            Lifecycle::Serving => g.run(|sys| op(sys, local)),
+            _ => None,
+        };
+        served.unwrap_or(Err(IntegrityError::ShardDegraded { shard: s as u16 }))
     }
 
     /// Securely writes one 64 B line at a global address. A request routed
     /// to a degraded or crashed/taken shard fails typed — a fault on one
     /// shard never panics traffic on the engine.
     pub fn write(&self, addr: u64, data: &[u8; 64]) -> Result<(), IntegrityError> {
-        let (s, local) = self.map.route(addr);
-        let mut g = self.guard(s);
-        match g.as_mut() {
-            Some(sys) if !self.is_degraded(s) => self.marked(s, || sys.write(local, data)),
-            _ => Err(IntegrityError::ShardDegraded { shard: s as u16 }),
-        }
+        self.serve(addr, |sys, local| sys.write(local, data))
     }
 
     /// Securely reads one 64 B line at a global address. Degraded and
     /// crashed/taken shards fail typed, like [`Self::write`].
     pub fn read(&self, addr: u64) -> Result<[u8; 64], IntegrityError> {
-        let (s, local) = self.map.route(addr);
-        let mut g = self.guard(s);
-        match g.as_mut() {
-            Some(sys) if !self.is_degraded(s) => self.marked(s, || sys.read(local)),
-            _ => Err(IntegrityError::ShardDegraded { shard: s as u16 }),
-        }
+        self.serve(addr, |sys, local| sys.read(local))
     }
 
     /// Supervised heal of a quarantined global address: routes to
@@ -373,29 +382,24 @@ impl ShardedEngine {
     /// [`SecureNvmSystem::clear_quarantine`]). Degraded and crashed/taken
     /// shards fail typed, like [`Self::write`].
     pub fn heal_write(&self, addr: u64, data: &[u8; 64]) -> Result<(), IntegrityError> {
-        let (s, local) = self.map.route(addr);
-        let mut g = self.guard(s);
-        match g.as_mut() {
-            Some(sys) if !self.is_degraded(s) => self.marked(s, || sys.heal_write(local, data)),
-            _ => Err(IntegrityError::ShardDegraded { shard: s as u16 }),
-        }
+        self.serve(addr, |sys, local| sys.heal_write(local, data))
     }
 
     /// Runs `f` against shard `s`'s live system under its lock. A panic
     /// unwinding out of `f` parks the shard `Degraded` (it died
     /// mid-operation), like [`Self::write`]/[`Self::read`].
     pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&mut SecureNvmSystem) -> R) -> R {
-        let mut g = self.guard(s);
-        let sys = g
-            .as_mut()
-            .unwrap_or_else(|| panic!("shard {s} is crashed/taken"));
-        self.marked(s, || f(sys))
+        self.guard(s)
+            .run(f)
+            .unwrap_or_else(|| panic!("shard {s} is crashed/taken"))
     }
 
     /// Removes shard `s`'s system from the engine (its slot stays empty
-    /// until [`Self::put_shard`]; requests routed there panic meanwhile).
+    /// until [`Self::put_shard`]; requests routed there fail typed
+    /// meanwhile).
     pub fn take_shard(&self, s: usize) -> SecureNvmSystem {
         self.guard(s)
+            .sys
             .take()
             .unwrap_or_else(|| panic!("shard {s} already crashed/taken"))
     }
@@ -403,6 +407,11 @@ impl ShardedEngine {
     /// Reinstates a system into shard `s`'s empty slot. The system must
     /// carry `s`'s own device label — installing a machine built for a
     /// different shard is a routing bug.
+    ///
+    /// A freshly recovered/rebuilt system returns the shard to `Serving`
+    /// from any lifecycle state. This is also the operator's escape hatch
+    /// for a permanently `Parked` shard: installing a system resets the
+    /// repair attempt budget, the backoff gate and the stashed image.
     pub fn put_shard(&self, s: usize, sys: SecureNvmSystem) {
         assert_eq!(
             sys.ctrl.nvm.shard(),
@@ -411,21 +420,9 @@ impl ShardedEngine {
             sys.ctrl.nvm.shard()
         );
         let mut g = self.guard(s);
-        assert!(g.is_none(), "shard {s} slot already occupied");
-        *g = Some(sys);
-        // A freshly recovered/rebuilt system un-parks the shard; the
-        // mid-op marker the dying holder left behind is spent with it.
-        // This is also the operator's escape hatch for a permanently
-        // `Parked` shard: installing a system resets the repair lifecycle
-        // (state, attempt budget, backoff gate, stashed image).
-        self.mid_op[s].store(false, Ordering::Release);
-        self.degraded[s].store(false, Ordering::Release);
-        self.state[s].store(shard_state::SERVING, Ordering::Release);
-        self.repair_attempts[s].store(0, Ordering::Release);
-        self.next_repair_at[s].store(0, Ordering::Release);
-        *self.parked_images[s]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = None;
+        assert!(g.sys.is_none(), "shard {s} slot already occupied");
+        g.sys = Some(sys);
+        self.transition(s, &mut g, Event::Install);
     }
 
     /// Pulls the plug on shard `s` only. Every other shard keeps running.
@@ -459,7 +456,7 @@ impl ShardedEngine {
         let (sys, report) = crashed.recover_lenient();
         match sys {
             Some(sys) => self.put_shard(s, sys),
-            None => self.mark_degraded(s),
+            None => self.transition(s, &mut self.guard(s), Event::Degrade),
         }
         report
     }
@@ -482,14 +479,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Stashes a crashed image (and its captured quarantine set) for a
-    /// later repair attempt.
-    fn stash_image(&self, s: usize, crashed: CrashedSystem, quarantine: &[u64]) {
-        *self.parked_images[s]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = Some((crashed, quarantine.to_vec()));
-    }
-
     /// One attempt of the online shard-repair loop: sources a crashed
     /// image for degraded shard `s` and delegates to
     /// [`Self::repair_shard_from`].
@@ -505,54 +494,53 @@ impl ShardedEngine {
     /// pass `u64::MAX` to force the attempt (operator retry, or the chaos
     /// campaign, which must not read neighbor shards' clocks).
     pub fn repair_shard(&self, s: usize, now: u64) -> RepairOutcome {
-        if self.is_parked(s) {
-            return RepairOutcome::Parked;
-        }
-        if !self.is_degraded(s) {
-            return RepairOutcome::NotDegraded;
-        }
-        let source = self.guard(s).take();
-        let (crashed, quarantine) = match source {
-            Some(sys) => {
-                // The online service dies with the power: capture the
-                // quarantine set before pulling the plug so the rebuilt
-                // shard can replay it.
-                let q: Vec<u64> = sys
-                    .online()
-                    .map(|o| o.quarantined().collect())
-                    .unwrap_or_default();
-                (sys.crash(), q)
+        let (crashed, quarantine) = {
+            let mut g = self.guard(s);
+            match g.life {
+                Lifecycle::Parked => return RepairOutcome::Parked,
+                Lifecycle::Serving | Lifecycle::Rebuilding => return RepairOutcome::NotDegraded,
+                Lifecycle::Degraded => {}
             }
-            None => match self.parked_images[s]
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .take()
-            {
-                Some((c, q)) => (c, q),
-                None => {
-                    self.state[s].store(shard_state::PARKED, Ordering::Release);
-                    return RepairOutcome::Parked;
+            match g.sys.take() {
+                Some(sys) => {
+                    // The online service dies with the power: capture the
+                    // quarantine set before pulling the plug so the rebuilt
+                    // shard can replay it.
+                    let q: Vec<u64> = sys
+                        .online()
+                        .map(|o| o.quarantined().collect())
+                        .unwrap_or_default();
+                    (sys.crash(), q)
                 }
-            },
+                None => match g.stash.take() {
+                    Some(stashed) => stashed,
+                    None => {
+                        self.transition(s, &mut g, Event::Park);
+                        return RepairOutcome::Parked;
+                    }
+                },
+            }
         };
         self.repair_shard_from(s, crashed, &quarantine, now)
     }
 
     /// Runs one bounded, backoff-gated repair attempt for degraded shard
     /// `s` from a supplied crashed image, while neighbor shards keep
-    /// serving (nothing here touches any other shard's lock).
+    /// serving (nothing here touches any other shard's lock, and the
+    /// rebuild runs with `s`'s own lock released).
     ///
     /// `Degraded → Rebuilding`: the attempt claims the shard, raises
     /// `ShardRepairStarted` (lifecycle alarm, cycle 0), and runs the laned
     /// lenient scrub over the image. On success the rebuilt system is
-    /// re-verified end to end (a full online scrub pass re-quarantines,
-    /// with fresh alarms, any line that is still bad), the captured
-    /// `quarantine` set is replayed against it (lines the pass did *not*
-    /// re-quarantine are provably clean now and released with an audited
-    /// `QuarantineCleared`), and the system is atomically re-admitted
-    /// (`→ Serving`, `ShardRestored`). On failure the shard returns to
-    /// `Degraded` with an exponential backoff gate, until
-    /// [`RepairPolicy::max_attempts`] parks it permanently (`→ Parked`).
+    /// re-armed with the shard's online policy and re-verified end to end
+    /// (a full online scrub pass re-quarantines, with fresh alarms, any
+    /// line that is still bad), the captured `quarantine` set is replayed
+    /// against it (lines the pass did *not* re-quarantine are provably
+    /// clean now and released with an audited `QuarantineCleared`), and
+    /// the system is atomically re-admitted (`→ Serving`, `ShardRestored`).
+    /// On failure the shard returns to `Degraded` with an exponential
+    /// backoff gate (1024 modeled cycles, doubling per failed attempt),
+    /// and the third failed attempt parks it permanently (`→ Parked`).
     ///
     /// Determinism: lifecycle alarms carry cycle 0; replay releases are
     /// stamped with the rebuilt shard's *own* modeled clock. The attempt
@@ -565,88 +553,60 @@ impl ShardedEngine {
         quarantine: &[u64],
         now: u64,
     ) -> RepairOutcome {
-        if self.is_parked(s) {
-            // Keep the image for the operator's post-mortem.
-            self.stash_image(s, crashed, quarantine);
-            return RepairOutcome::Parked;
-        }
-        if self.state[s]
-            .compare_exchange(
-                shard_state::DEGRADED,
-                shard_state::REBUILDING,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_err()
-        {
-            self.stash_image(s, crashed, quarantine);
-            return RepairOutcome::NotDegraded;
-        }
-        let until = self.next_repair_at[s].load(Ordering::Acquire);
-        if now < until {
-            self.stash_image(s, crashed, quarantine);
-            self.state[s].store(shard_state::DEGRADED, Ordering::Release);
-            return RepairOutcome::Backoff { until };
-        }
-        let policy = self.repair_policy;
-        let attempt = self.repair_attempts[s].fetch_add(1, Ordering::AcqRel) + 1;
-        if attempt > policy.max_attempts {
-            self.stash_image(s, crashed, quarantine);
-            self.state[s].store(shard_state::PARKED, Ordering::Release);
-            return RepairOutcome::Parked;
-        }
-        self.raise_alarm(Alarm {
-            kind: AlarmKind::ShardRepairStarted,
-            shard: s as u16,
-            addr: None,
-            cycle: 0,
-        });
+        let (attempt, online) = {
+            let mut g = self.guard(s);
+            let refused = match g.life {
+                // A parked shard keeps the image for the operator's
+                // post-mortem.
+                Lifecycle::Parked => Some(RepairOutcome::Parked),
+                Lifecycle::Serving | Lifecycle::Rebuilding => Some(RepairOutcome::NotDegraded),
+                Lifecycle::Degraded if now < g.next_repair_at => Some(RepairOutcome::Backoff {
+                    until: g.next_repair_at,
+                }),
+                Lifecycle::Degraded => None,
+            };
+            if let Some(outcome) = refused {
+                g.stash = Some((crashed, quarantine.to_vec()));
+                return outcome;
+            }
+            g.attempts += 1;
+            self.transition(s, &mut g, Event::Claim);
+            (g.attempts, g.online)
+        };
         Self::check_journal_owner(s, &crashed);
         let crashed = crashed.with_recovery_lanes(par::recovery_workers());
         let (sys, report) = crashed.recover_lenient();
-        match sys {
-            Some(mut sys) => {
-                sys.enable_online(policy.online);
-                // Re-verify the rebuilt tree end to end before re-admitting
-                // the shard: every line that is still bad is re-quarantined
-                // with a fresh alarm trail.
-                sys.online_scrub_pass();
-                // Replay the captured quarantine set: anything the full
-                // pass did not re-quarantine read back authentic from the
-                // rebuilt tree and is released, audited.
-                let shard = s as u16;
-                let cycle = sys.sim_cycles();
-                if let Some(svc) = sys.online_mut() {
-                    for &addr in quarantine {
-                        if !svc.is_quarantined(addr) {
-                            svc.note_heal(shard, addr, cycle);
-                        }
-                    }
-                }
-                self.put_shard(s, sys);
-                self.raise_alarm(Alarm {
-                    kind: AlarmKind::ShardRestored,
-                    shard: s as u16,
-                    addr: None,
-                    cycle: 0,
-                });
-                RepairOutcome::Restored(report)
+        let Some(mut sys) = sys else {
+            // The image is consumed; a retry needs a fresh one.
+            let mut g = self.guard(s);
+            if attempt >= MAX_REPAIR_ATTEMPTS {
+                self.transition(s, &mut g, Event::Park);
+                return RepairOutcome::Parked;
             }
-            None => {
-                // The image is consumed; a retry needs a fresh one.
-                if attempt >= policy.max_attempts {
-                    self.state[s].store(shard_state::PARKED, Ordering::Release);
-                    return RepairOutcome::Parked;
+            let shift = (attempt - 1).min(16);
+            g.next_repair_at = now.saturating_add(REPAIR_BACKOFF_BASE_CYCLES << shift);
+            self.transition(s, &mut g, Event::Retry);
+            return RepairOutcome::Failed { attempts: attempt };
+        };
+        sys.enable_online(online);
+        // Re-verify the rebuilt tree end to end before re-admitting the
+        // shard: every line that is still bad is re-quarantined with a
+        // fresh alarm trail.
+        sys.online_scrub_pass();
+        // Replay the captured quarantine set: anything the full pass did
+        // not re-quarantine read back authentic from the rebuilt tree and
+        // is released, audited.
+        let shard = s as u16;
+        let cycle = sys.sim_cycles();
+        if let Some(svc) = sys.online_mut() {
+            for &addr in quarantine {
+                if !svc.is_quarantined(addr) {
+                    svc.note_heal(shard, addr, cycle);
                 }
-                let shift = (attempt - 1).min(16);
-                self.next_repair_at[s].store(
-                    now.saturating_add(policy.backoff_base_cycles << shift),
-                    Ordering::Release,
-                );
-                self.state[s].store(shard_state::DEGRADED, Ordering::Release);
-                RepairOutcome::Failed { attempts: attempt }
             }
         }
+        self.put_shard(s, sys);
+        RepairOutcome::Restored(report)
     }
 
     /// Deterministic simulated-cycle makespan: the furthest any shard's
@@ -655,7 +615,7 @@ impl ShardedEngine {
     /// the stress bench's scaling gate is computed from.
     pub fn sim_cycles(&self) -> u64 {
         (0..self.shards())
-            .map(|s| self.guard(s).as_ref().map_or(0, |sys| sys.sim_cycles()))
+            .map(|s| self.guard(s).sys.as_ref().map_or(0, |sys| sys.sim_cycles()))
             .max()
             .unwrap_or(0)
     }
@@ -668,7 +628,7 @@ impl ShardedEngine {
     pub fn report(&self) -> MetricRegistry {
         let mut agg = MetricRegistry::new();
         for s in 0..self.shards() {
-            if let Some(sys) = self.guard(s).as_ref() {
+            if let Some(sys) = self.guard(s).sys.as_ref() {
                 let m = sys.report().metrics;
                 agg.fold_shard(&format!("shard.{s:02}"), &m);
             }
@@ -687,12 +647,15 @@ impl ShardedEngine {
     }
 
     /// Enables the online integrity service on every live shard under one
-    /// shared `policy` (see [`crate::online::OnlinePolicy`]). Shards whose
-    /// slot is empty or degraded are skipped; a system reinstated later via
-    /// [`Self::put_shard`] must be re-enabled by the caller.
+    /// shared `policy` (see [`crate::online::OnlinePolicy`]) and records it
+    /// in every slot, so a shard the repair loop rebuilds later re-arms
+    /// with it. A system reinstated via [`Self::put_shard`] by any other
+    /// path must be re-enabled by the caller.
     pub fn enable_online(&self, policy: OnlinePolicy) {
         for s in 0..self.shards() {
-            if let Some(sys) = self.guard(s).as_mut() {
+            let mut g = self.guard(s);
+            g.online = policy;
+            if let Some(sys) = g.sys.as_mut() {
                 sys.enable_online(policy);
             }
         }
@@ -705,10 +668,8 @@ impl ShardedEngine {
     pub fn online_tick(&self) {
         for s in 0..self.shards() {
             let mut g = self.guard(s);
-            if let Some(sys) = g.as_mut() {
-                if !self.is_degraded(s) {
-                    self.marked(s, || sys.online_step());
-                }
+            if g.life == Lifecycle::Serving {
+                g.run(|sys| sys.online_step());
             }
         }
     }
@@ -728,8 +689,7 @@ impl ShardedEngine {
             out.raise(a);
         }
         for s in 0..self.shards() {
-            let mut g = self.guard(s);
-            if let Some(sys) = g.as_mut() {
+            if let Some(sys) = self.guard(s).sys.as_mut() {
                 for a in sys.drain_alarms() {
                     out.raise(a);
                 }
@@ -744,6 +704,31 @@ impl ShardedEngine {
     /// back in shard order.
     pub fn crash_all(&self) -> Vec<CrashedSystem> {
         (0..self.shards()).map(|s| self.crash_shard(s)).collect()
+    }
+
+    /// Runs `job` once per shard on that shard's crashed image, as
+    /// independent region jobs on a work-stealing queue served by
+    /// `workers` threads; each image journals with `workers` lane-mark
+    /// slots. Returns the results in shard order and the wall-side steal
+    /// count.
+    fn per_image<T: Send>(
+        &self,
+        crashed: Vec<CrashedSystem>,
+        workers: usize,
+        job: impl Fn(usize, CrashedSystem) -> T + Sync,
+    ) -> (Vec<T>, u64) {
+        assert_eq!(crashed.len(), self.shards(), "one crashed image per shard");
+        let images: Vec<Mutex<Option<CrashedSystem>>> =
+            crashed.into_iter().map(|c| Mutex::new(Some(c))).collect();
+        par::run_regions(workers, images.len(), |s, _w| {
+            let img = images[s]
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .take()
+                .expect("each region runs exactly once")
+                .with_recovery_lanes(workers);
+            job(s, img)
+        })
     }
 
     /// Recovers the whole engine in parallel: the per-shard crashed images
@@ -766,19 +751,9 @@ impl ShardedEngine {
         crashed: Vec<CrashedSystem>,
         workers: usize,
     ) -> Result<ParallelRecovery, IntegrityError> {
-        assert_eq!(crashed.len(), self.shards(), "one crashed image per shard");
         let workers = workers.clamp(1, par::MAX_WORKERS);
-        let images: Vec<Mutex<Option<CrashedSystem>>> =
-            crashed.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let (results, steals) = par::run_regions(workers, images.len(), |s, _w| {
-            let img = images[s]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("each region runs exactly once")
-                .with_recovery_lanes(workers);
-            self.recover_shard(s, img)
-        });
+        let (results, steals) =
+            self.per_image(crashed, workers, |s, img| self.recover_shard(s, img));
         let mut reports = Vec::with_capacity(results.len());
         for r in results {
             reports.push(r?);
@@ -818,19 +793,9 @@ impl ShardedEngine {
         crashed: Vec<CrashedSystem>,
         workers: usize,
     ) -> (Vec<ScrubReport>, ScrubReport) {
-        assert_eq!(crashed.len(), self.shards(), "one crashed image per shard");
         let workers = workers.clamp(1, par::MAX_WORKERS);
-        let images: Vec<Mutex<Option<CrashedSystem>>> =
-            crashed.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let (reports, _steals) = par::run_regions(workers, images.len(), |s, _w| {
-            let img = images[s]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("each region runs exactly once")
-                .with_recovery_lanes(workers);
-            self.scrub_shard(s, img)
-        });
+        let (reports, _steals) =
+            self.per_image(crashed, workers, |s, img| self.scrub_shard(s, img));
         let mut merged = ScrubReport::empty(reports[0].scheme.clone(), 0, 0);
         for (s, r) in reports.iter().enumerate() {
             let mut global = r.clone();
@@ -1419,6 +1384,207 @@ mod tests {
             .events()
             .iter()
             .any(|a| a.kind == AlarmKind::QuarantineCleared && a.shard == 0));
+    }
+
+    /// Every (lifecycle × event) pair through the one transition function,
+    /// reaching each start state through the function itself.
+    #[test]
+    fn lifecycle_transition_table() {
+        use AlarmKind::{ShardDegraded, ShardRepairStarted, ShardRestored};
+        use Event::{Claim, Degrade, Install, Park, Retry};
+        use Lifecycle::{Degraded, Parked, Rebuilding, Serving};
+        let path = |life| match life {
+            Serving => vec![],
+            Degraded => vec![Degrade],
+            Rebuilding => vec![Degrade, Claim],
+            Parked => vec![Degrade, Park],
+        };
+        #[rustfmt::skip]
+        let table = [
+            (Serving, Degrade, Degraded, Some(ShardDegraded)),
+            (Serving, Claim, Serving, None),
+            (Serving, Retry, Serving, None),
+            (Serving, Park, Serving, None),
+            (Serving, Install, Serving, None),
+            (Degraded, Degrade, Degraded, None),
+            (Degraded, Claim, Rebuilding, Some(ShardRepairStarted)),
+            (Degraded, Retry, Degraded, None),
+            (Degraded, Park, Parked, None),
+            (Degraded, Install, Serving, None),
+            (Rebuilding, Degrade, Rebuilding, None),
+            (Rebuilding, Claim, Rebuilding, None),
+            (Rebuilding, Retry, Degraded, None),
+            (Rebuilding, Park, Parked, None),
+            (Rebuilding, Install, Serving, Some(ShardRestored)),
+            (Parked, Degrade, Parked, None),
+            (Parked, Claim, Parked, None),
+            (Parked, Retry, Parked, None),
+            (Parked, Park, Parked, None),
+            (Parked, Install, Serving, None),
+        ];
+        let cfg = small(SchemeKind::Steins);
+        let engine = ShardedEngine::new(cfg.clone(), 1);
+        let drain = || -> Vec<AlarmKind> {
+            let mut log = engine.alarms.lock().unwrap();
+            log.drain().into_iter().map(|a| a.kind).collect()
+        };
+        let mut slot = engine.lock(0);
+        for (from, event, to, alarm) in table {
+            for step in path(from) {
+                engine.transition(0, &mut slot, step);
+            }
+            assert_eq!(slot.life, from);
+            drain();
+            slot.attempts = 2;
+            slot.next_repair_at = 99;
+            slot.stash = Some((SecureNvmSystem::new(cfg.clone()).crash(), vec![64]));
+            engine.transition(0, &mut slot, event);
+            assert_eq!(slot.life, to, "{from:?} x {event:?}");
+            assert_eq!(drain(), Vec::from_iter(alarm), "{from:?} x {event:?}");
+            // Only an install resets the repair state.
+            let reset = event == Install;
+            assert_eq!(slot.attempts == 0, reset, "{from:?} x {event:?}");
+            assert_eq!(slot.next_repair_at == 0, reset, "{from:?} x {event:?}");
+            assert_eq!(slot.stash.is_none(), reset, "{from:?} x {event:?}");
+            engine.transition(0, &mut slot, Install);
+        }
+        drop(slot);
+        drain();
+
+        // The same edges through the public calls: a second park of a shard
+        // already out of service is silent, repair of a serving shard is
+        // refused, and an operator install un-parks and resets.
+        assert!(matches!(
+            engine.repair_shard(0, u64::MAX),
+            RepairOutcome::NotDegraded
+        ));
+        let sys = engine.park_degraded(0).expect("system in slot");
+        engine.transition(0, &mut engine.lock(0), Claim);
+        assert!(engine.park_degraded(0).is_none());
+        assert!(engine.is_degraded(0) && !engine.is_parked(0));
+        engine.transition(0, &mut engine.lock(0), Park);
+        assert!(engine.park_degraded(0).is_none());
+        assert!(engine.is_parked(0));
+        assert_eq!(drain(), vec![ShardDegraded, ShardRepairStarted]);
+        {
+            let mut g = engine.lock(0);
+            g.attempts = MAX_REPAIR_ATTEMPTS;
+            g.next_repair_at = 7_048;
+            g.stash = Some((SecureNvmSystem::new(cfg.clone()).crash(), vec![64]));
+        }
+        engine.put_shard(0, sys);
+        let g = engine.lock(0);
+        assert_eq!(g.life, Serving);
+        assert_eq!((g.attempts, g.next_repair_at), (0, 0));
+        assert!(g.stash.is_none() && !g.mid_op);
+        drop(g);
+        assert!(drain().is_empty(), "an operator install raises no alarm");
+    }
+
+    /// Same-shard race: writes, reads and online ticks on shard 0 while
+    /// a fourth thread dies holding the shard and then drives the repair
+    /// loop. Every call succeeds or fails typed, nothing unwinds out of
+    /// the engine, and the repaired shard reads back every acknowledged
+    /// write.
+    #[test]
+    fn same_shard_traffic_races_a_torn_holder_and_its_repair() {
+        use std::collections::HashMap;
+        use std::sync::{mpsc, Barrier};
+        use steins_trace::rng::SmallRng;
+        const OPS: usize = 240;
+        let engine = ShardedEngine::new(small(SchemeKind::Steins), 2);
+        engine.enable_online(OnlinePolicy::default());
+        let m = *engine.map();
+        let lines: Vec<u64> = (0..256u64)
+            .filter(|&l| m.shard_of(l) == 0)
+            .take(24)
+            .collect();
+        let pick = |rng: &mut SmallRng| lines[rng.gen_range(0, lines.len() as u64) as usize];
+        let typed = |e: IntegrityError| assert_eq!(e, IntegrityError::ShardDegraded { shard: 0 });
+        let start = Barrier::new(4);
+        let (warm_tx, warm_rx) = mpsc::channel();
+        let acked = std::thread::scope(|sc| {
+            let writer = sc.spawn(|| {
+                let mut rng = SmallRng::seed_from_u64(0x5A3E_0001);
+                let mut acked = HashMap::new();
+                start.wait();
+                for i in 0..OPS {
+                    if i == OPS / 3 {
+                        warm_tx.send(()).unwrap();
+                    }
+                    let line = pick(&mut rng);
+                    let tag = (i % 250) as u8 + 1;
+                    match engine.write(line * 64, &SweepOp::payload(line, tag)) {
+                        Ok(()) => {
+                            acked.insert(line, tag);
+                        }
+                        Err(e) => typed(e),
+                    }
+                }
+                acked
+            });
+            let reader = sc.spawn(|| {
+                let mut rng = SmallRng::seed_from_u64(0x5A3E_0002);
+                start.wait();
+                for _ in 0..OPS {
+                    let line = pick(&mut rng);
+                    match engine.read(line * 64) {
+                        Ok(got) => assert!(
+                            got == [0; 64] || got[..8] == line.to_le_bytes(),
+                            "line {line} read back another line's data"
+                        ),
+                        Err(e) => typed(e),
+                    }
+                }
+            });
+            let ticker = sc.spawn(|| {
+                start.wait();
+                for _ in 0..OPS {
+                    engine.online_tick();
+                }
+            });
+            let (eng, gate) = (&engine, &start);
+            let repairer = sc.spawn(move || {
+                gate.wait();
+                warm_rx.recv().unwrap();
+                poison_shard(eng, 0);
+                for _ in 0..MAX_REPAIR_ATTEMPTS {
+                    match eng.repair_shard(0, u64::MAX) {
+                        RepairOutcome::Restored(_) => return,
+                        RepairOutcome::Failed { .. } => {}
+                        other => panic!("repair of the torn shard: {other:?}"),
+                    }
+                }
+                panic!("repair never restored the shard");
+            });
+            reader.join().expect("reader unwound");
+            ticker.join().expect("ticker unwound");
+            repairer.join().expect("repairer unwound");
+            writer.join().expect("writer unwound")
+        });
+        assert!(!engine.is_degraded(0));
+        for (&line, &tag) in &acked {
+            assert_eq!(
+                engine.read(line * 64).unwrap(),
+                SweepOp::payload(line, tag),
+                "line {line} lost its last acknowledged write"
+            );
+        }
+        let kinds: Vec<AlarmKind> = engine
+            .drain_alarms()
+            .events()
+            .iter()
+            .filter(|a| a.shard == 0 && a.addr.is_none())
+            .map(|a| a.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                AlarmKind::ShardDegraded,
+                AlarmKind::ShardRepairStarted,
+                AlarmKind::ShardRestored
+            ]
+        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Cross-cutting contracts of the parallel (laned) recovery path.
 //!
-//! * **Worker-count determinism** — the lane count a recovery runs with is
-//!   a journal-layout choice, never a semantic one: recoveries with 1 and 4
-//!   lanes produce byte-identical deterministic metric exports, identical
-//!   post-recovery tree state, and the same terminal journal, for all four
+//! * **Worker-count determinism** — the lane count a recovery runs with
+//!   only decides how the in-progress journal partitions its marks, never
+//!   what recovery computes: recoveries with 1, 2, 4 and 8 lanes produce
+//!   byte-identical deterministic metric exports, identical post-recovery
+//!   tree state, and the same one-lane terminal journal, for all four
 //!   schemes (WB refuses either way).
-//! * **Journal compatibility** — an attempt interrupted under the legacy
-//!   single-mark layout resumes under the laned recoverer and vice versa,
-//!   with exactly one restart recorded (no spurious extras), and a
-//!   *completed* journal resumes with zero restarts whatever layout wrote
-//!   it.
+//! * **Cross-lane-count resume** — an attempt interrupted while journaling
+//!   one lane resumes under a four-lane recoverer and vice versa, with
+//!   exactly one restart recorded (no spurious extras), and a *completed*
+//!   journal resumes with zero restarts whatever lane count wrote it.
 
 use steins_core::recovery::journal;
 use steins_core::{
@@ -76,7 +76,7 @@ fn worker_count_is_invisible_in_recovery_reports() {
                 "{scheme:?}: terminal journal diverges at {lanes} lanes"
             );
         }
-        assert_eq!(j1.lanes, 0, "terminal journals are always legacy-form");
+        assert_eq!(j1.lanes, 1, "terminal journals are always one lane");
         assert_eq!(j1.phase, journal::DONE);
     }
 }
@@ -115,7 +115,8 @@ fn recovery_points(scheme: SchemeKind, lanes: usize) -> Vec<u64> {
 
 /// Interrupts a recovery journaling with `first_lanes` lane slots at its
 /// `frac`-th durable write, then finishes the job with `second_lanes` —
-/// the journal written by one layout must be resumable by the other.
+/// the journal written under one lane count must be resumable under the
+/// other.
 fn interrupt_then_resume(scheme: SchemeKind, first_lanes: usize, second_lanes: usize, frac: f64) {
     let points = recovery_points(scheme, first_lanes);
     assert!(!points.is_empty(), "{scheme:?}: recovery fires no points");
@@ -160,7 +161,7 @@ fn interrupt_then_resume(scheme: SchemeKind, first_lanes: usize, second_lanes: u
 }
 
 #[test]
-fn legacy_journal_resumes_under_the_parallel_recoverer() {
+fn one_lane_journal_resumes_under_four_lanes() {
     for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
         for frac in [0.25, 0.6, 0.9] {
             interrupt_then_resume(scheme, 1, 4, frac);
@@ -169,7 +170,7 @@ fn legacy_journal_resumes_under_the_parallel_recoverer() {
 }
 
 #[test]
-fn laned_journal_resumes_under_the_single_threaded_recoverer() {
+fn four_lane_journal_resumes_under_one_lane() {
     for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
         for frac in [0.25, 0.6, 0.9] {
             interrupt_then_resume(scheme, 4, 1, frac);
@@ -185,7 +186,7 @@ fn completed_journals_resume_with_zero_restarts_in_either_layout() {
             .with_recovery_lanes(first);
         let (sys, _report) = crashed.recover().unwrap();
         // Crash again right away: the ADR journal still reads DONE from the
-        // first recovery, whatever layout wrote its in-progress entries.
+        // first recovery, whatever lane count wrote its in-progress entries.
         let crashed2 = sys.crash().with_recovery_lanes(second);
         let (_sys, report) = crashed2.recover().unwrap();
         assert_eq!(

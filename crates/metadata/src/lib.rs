@@ -17,6 +17,8 @@
 //! * [`shard`] — address striping across shard-local coordinate systems,
 //! * [`records`] — Steins' 4-byte-offset record lines (16 offsets / 64 B).
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod counter;
 pub mod geometry;

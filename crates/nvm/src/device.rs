@@ -83,13 +83,13 @@ pub enum JournalDecodeError {
     BadMagic,
     /// A phase tag above [`JOURNAL_MAX_PHASE`].
     BadPhase(u8),
-    /// A lane count above [`RECOVERY_LANES`].
+    /// A lane count above [`RECOVERY_LANES`], or a lane count of 0 on a
+    /// journal that is not the never-written [`RecoveryJournal::default`].
     BadLanes(u8),
     /// A reserved field is non-zero.
     ReservedNonZero,
-    /// The layout invariants are violated: a laned journal whose `hwm`
-    /// is not the sum of its lane marks, or a legacy journal carrying
-    /// non-zero marks.
+    /// The lane marks are inconsistent: `hwm` is not the sum of the marks
+    /// in use, or a slot past the lane count is non-zero.
     BadMarks,
 }
 
@@ -102,7 +102,10 @@ impl std::fmt::Display for JournalDecodeError {
             JournalDecodeError::BadMagic => write!(f, "journal magic mismatch"),
             JournalDecodeError::BadPhase(p) => write!(f, "journal phase {p} undefined"),
             JournalDecodeError::BadLanes(l) => {
-                write!(f, "journal lane count {l} exceeds {RECOVERY_LANES}")
+                write!(
+                    f,
+                    "journal lane count {l} invalid: a written journal has 1..={RECOVERY_LANES}"
+                )
             }
             JournalDecodeError::ReservedNonZero => {
                 write!(f, "journal reserved bytes non-zero")
@@ -114,65 +117,44 @@ impl std::fmt::Display for JournalDecodeError {
     }
 }
 
-/// The ADR-resident recovery journal: a phase tag plus high-water mark that
-/// recovery updates as it replays durable state, making a second crash
-/// *during* recovery survivable. `phase` values are assigned by the
-/// controller crate (the device only persists them); `hwm` counts completed
-/// re-entrant steps within the phase; `restarts` counts recovery attempts
-/// that were interrupted before reaching their terminal phase.
+/// The ADR-resident recovery journal: a phase tag plus per-lane high-water
+/// marks that recovery updates as it replays durable state, making a
+/// second crash *during* recovery survivable. `phase` values are assigned
+/// by the controller crate (the device only persists them); `restarts`
+/// counts recovery attempts that were interrupted before reaching their
+/// terminal phase.
 ///
-/// **Lane marks.** A parallel recoverer additionally records per-region
-/// progress in `marks[..lanes]` (`lanes = 0` is the single-threaded-era
-/// layout: `hwm` alone carries progress and `marks` is all-zero). Writers
-/// keep `hwm` equal to the sum of the lane marks at every boundary, so a
-/// single-threaded recoverer resuming a multi-lane journal — or the
-/// reverse — sees a consistent total either way.
+/// **Lane marks.** A recoverer splits its work into `lanes` contiguous
+/// regions and records each region's completed steps in `marks[..lanes]`;
+/// a serial recoverer writes one lane. `hwm` is the stored sum of the
+/// marks, so a recoverer resuming with a different lane count sees a
+/// consistent total. Every written journal has `lanes >= 1`; `lanes == 0`
+/// appears only in the never-written [`RecoveryJournal::default`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryJournal {
     /// Controller-defined phase tag (0 = idle / never recovered).
     pub phase: u8,
-    /// Completed steps within the phase (re-entry resumes past these).
-    /// Always the sum of the lane marks when `lanes > 0`.
+    /// Completed steps within the phase: the sum of the lane marks.
     pub hwm: u64,
     /// Recovery attempts interrupted before completion.
     pub restarts: u32,
-    /// Lane-mark slots in use (0 = legacy single-mark layout).
+    /// Lane-mark slots in use (0 only in the never-written default).
     pub lanes: u8,
     /// Per-lane completed-step counts within each lane's region.
     pub marks: [u64; RECOVERY_LANES],
 }
 
 impl RecoveryJournal {
-    /// The single-threaded-era journal layout: one global high-water mark,
-    /// no lane slots.
-    pub fn single(phase: u8, hwm: u64, restarts: u32) -> Self {
-        RecoveryJournal {
-            phase,
-            hwm,
-            restarts,
-            lanes: 0,
-            marks: [0; RECOVERY_LANES],
-        }
-    }
-
-    /// The multi-lane layout: per-region marks, `hwm` derived as their sum.
+    /// A journal over `lanes` regions with per-region `marks`; `hwm` is
+    /// derived as their sum.
     pub fn laned(phase: u8, restarts: u32, lanes: u8, marks: [u64; RECOVERY_LANES]) -> Self {
-        debug_assert!(lanes as usize <= RECOVERY_LANES);
+        debug_assert!((1..=RECOVERY_LANES).contains(&(lanes as usize)));
         RecoveryJournal {
             phase,
             hwm: marks.iter().sum(),
             restarts,
             lanes,
             marks,
-        }
-    }
-
-    /// Total completed steps, whichever layout wrote the journal.
-    pub fn progress(&self) -> u64 {
-        if self.lanes == 0 {
-            self.hwm
-        } else {
-            self.marks[..self.lanes as usize].iter().sum()
         }
     }
 
@@ -217,9 +199,9 @@ impl RecoveryJournal {
     /// Parses a durable journal image back into `(journal, mac)`,
     /// refusing (typed, never panicking) anything that violates the
     /// layout: short input, wrong magic, an undefined phase tag, a lane
-    /// count above [`RECOVERY_LANES`], non-zero reserved bytes, a laned
-    /// journal whose `hwm` is not the sum of its lane marks, or a legacy
-    /// (`lanes == 0`) journal carrying non-zero marks. MAC verification
+    /// count above [`RECOVERY_LANES`], a lane count of 0 on anything but
+    /// the never-written default journal, non-zero reserved bytes, or an
+    /// `hwm` that is not the sum of the lane marks. MAC verification
     /// is the caller's job — decode only proves the bytes are *shaped*
     /// like a journal.
     pub fn decode(bytes: &[u8]) -> Result<(RecoveryJournal, u64), JournalDecodeError> {
@@ -248,30 +230,24 @@ impl RecoveryJournal {
         for (i, m) in marks.iter_mut().enumerate() {
             *m = le8(&bytes[24 + i * 8..32 + i * 8]);
         }
-        if lanes == 0 {
-            if marks.iter().any(|&m| m != 0) {
-                return Err(JournalDecodeError::BadMarks);
-            }
-        } else {
-            let sum: u64 = marks[..lanes as usize]
-                .iter()
-                .try_fold(0u64, |acc, &m| acc.checked_add(m))
-                .ok_or(JournalDecodeError::BadMarks)?;
-            if sum != hwm || marks[lanes as usize..].iter().any(|&m| m != 0) {
-                return Err(JournalDecodeError::BadMarks);
-            }
+        let journal = RecoveryJournal {
+            phase,
+            hwm,
+            restarts,
+            lanes,
+            marks,
+        };
+        if lanes == 0 && journal != RecoveryJournal::default() {
+            return Err(JournalDecodeError::BadLanes(0));
         }
-        let mac = le8(&bytes[88..96]);
-        Ok((
-            RecoveryJournal {
-                phase,
-                hwm,
-                restarts,
-                lanes,
-                marks,
-            },
-            mac,
-        ))
+        let sum: u64 = marks[..lanes as usize]
+            .iter()
+            .try_fold(0u64, |acc, &m| acc.checked_add(m))
+            .ok_or(JournalDecodeError::BadMarks)?;
+        if sum != hwm || marks[lanes as usize..].iter().any(|&m| m != 0) {
+            return Err(JournalDecodeError::BadMarks);
+        }
+        Ok((journal, le8(&bytes[88..96])))
     }
 }
 
@@ -869,6 +845,13 @@ mod tests {
         NvmDevice::new(NvmConfig::small_for_tests())
     }
 
+    /// The one-lane journal a serial recoverer writes.
+    fn serial(phase: u8, hwm: u64, restarts: u32) -> RecoveryJournal {
+        let mut marks = [0u64; RECOVERY_LANES];
+        marks[0] = hwm;
+        RecoveryJournal::laned(phase, restarts, 1, marks)
+    }
+
     #[test]
     fn read_returns_written_data_and_later_completion() {
         let mut d = dev();
@@ -1009,7 +992,7 @@ mod tests {
         assert_eq!(d.shard(), 3);
         // The stamp lands with the journal write, not with set_shard.
         assert_eq!(d.journal_owner(), 0);
-        d.set_recovery_journal(RecoveryJournal::single(1, 7, 0), 0xDEAD);
+        d.set_recovery_journal(serial(1, 7, 0), 0xDEAD);
         assert_eq!(d.journal_owner(), 3);
         assert_eq!(d.recovery_journal().hwm, 7);
         assert_eq!(d.journal_mac(), 0xDEAD, "MAC is stored with the journal");
@@ -1155,7 +1138,7 @@ mod tests {
     #[test]
     fn recovery_journal_is_a_persist_point_and_survives_reset() {
         let mut d = dev();
-        let j = RecoveryJournal::single(3, 17, 1);
+        let j = serial(3, 17, 1);
         d.set_recovery_journal(j, 0x1234);
         assert_eq!(d.persist_seq(), 1, "journal update is an ADR persist");
         assert_eq!(d.recovery_journal(), j);
@@ -1166,7 +1149,7 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.set_recovery_journal(RecoveryJournal::single(4, 0, 0), 0);
+            d.set_recovery_journal(serial(4, 0, 0), 0);
         }));
         std::panic::set_hook(prev);
         assert!(trip.expect_err("must trip").is::<CrashTripped>());
@@ -1181,16 +1164,11 @@ mod tests {
         marks[2] = 3;
         let j = RecoveryJournal::laned(1, 0, 4, marks);
         assert_eq!(j.hwm, 8, "hwm derives as the mark sum");
-        assert_eq!(j.progress(), 8);
-        // Legacy layout: hwm alone carries progress.
-        let legacy = RecoveryJournal::single(1, 11, 2);
-        assert_eq!(legacy.lanes, 0);
-        assert_eq!(legacy.progress(), 11);
         // Round-trips through the device like any journal.
         let mut d = dev();
         d.set_recovery_journal(j, 0);
         assert_eq!(d.recovery_journal().marks[2], 3);
-        assert_eq!(d.recovery_journal().progress(), 8);
+        assert_eq!(d.recovery_journal().hwm, 8);
     }
 
     #[test]
@@ -1230,9 +1208,9 @@ mod tests {
 
     #[test]
     fn journal_encode_decode_round_trips_both_layouts() {
-        let legacy = RecoveryJournal::single(3, 17, 2);
-        let (got, mac) = RecoveryJournal::decode(&legacy.encode(0xFEED_BEEF)).unwrap();
-        assert_eq!(got, legacy);
+        let one = serial(3, 17, 2);
+        let (got, mac) = RecoveryJournal::decode(&one.encode(0xFEED_BEEF)).unwrap();
+        assert_eq!(got, one);
         assert_eq!(mac, 0xFEED_BEEF);
 
         let mut marks = [0u64; RECOVERY_LANES];
@@ -1245,12 +1223,12 @@ mod tests {
 
         // The MAC message is layout-sensitive: two different journals
         // never share a message.
-        assert_ne!(legacy.mac_message(), laned.mac_message());
+        assert_ne!(one.mac_message(), laned.mac_message());
     }
 
     #[test]
     fn journal_decode_rejects_malformed_images_typed() {
-        let good = RecoveryJournal::single(2, 9, 0).encode(42);
+        let good = serial(2, 9, 0).encode(42);
         // Truncations at every length below the full image.
         for len in 0..JOURNAL_ENC_BYTES {
             assert_eq!(
@@ -1288,14 +1266,7 @@ mod tests {
                 Err(JournalDecodeError::ReservedNonZero)
             );
         }
-        // Legacy layout with a smuggled lane mark.
-        let mut bad = good;
-        bad[24] = 1;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMarks)
-        );
-        // Laned layout whose hwm disagrees with the mark sum.
+        // An hwm that disagrees with the mark sum.
         let mut marks = [0u64; RECOVERY_LANES];
         marks[0] = 4;
         let mut bad = RecoveryJournal::laned(1, 0, 2, marks).encode(0);
@@ -1304,7 +1275,7 @@ mod tests {
             RecoveryJournal::decode(&bad),
             Err(JournalDecodeError::BadMarks)
         );
-        // Laned layout with a mark beyond its lane count.
+        // A mark beyond the lane count.
         let mut bad = RecoveryJournal::laned(1, 0, 2, marks).encode(0);
         bad[24 + 5 * 8] = 1;
         assert_eq!(
@@ -1315,13 +1286,43 @@ mod tests {
         let mut marks = [0u64; RECOVERY_LANES];
         marks[0] = u64::MAX;
         marks[1] = u64::MAX;
-        let mut bad = RecoveryJournal::single(1, 0, 0).encode(0);
+        let mut bad = serial(1, 0, 0).encode(0);
         bad[5] = 2;
         bad[24..32].copy_from_slice(&marks[0].to_le_bytes());
         bad[32..40].copy_from_slice(&marks[1].to_le_bytes());
         assert_eq!(
             RecoveryJournal::decode(&bad),
             Err(JournalDecodeError::BadMarks)
+        );
+    }
+
+    #[test]
+    fn journal_decode_refuses_zero_lanes_on_written_journals() {
+        // The never-written default is the one journal with no lanes.
+        let blank = RecoveryJournal::default();
+        assert_eq!(RecoveryJournal::decode(&blank.encode(0)), Ok((blank, 0)));
+        // Anything else written with lanes == 0 is refused, whichever
+        // field carries the content.
+        let written = [
+            RecoveryJournal { phase: 6, ..blank },
+            RecoveryJournal {
+                restarts: 1,
+                ..blank
+            },
+            RecoveryJournal { hwm: 9, ..blank },
+        ];
+        for j in written {
+            assert_eq!(
+                RecoveryJournal::decode(&j.encode(0)),
+                Err(JournalDecodeError::BadLanes(0)),
+                "{j:?}"
+            );
+        }
+        let mut smuggled = blank.encode(0);
+        smuggled[24] = 1;
+        assert_eq!(
+            RecoveryJournal::decode(&smuggled),
+            Err(JournalDecodeError::BadLanes(0))
         );
     }
 

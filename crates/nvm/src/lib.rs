@@ -18,6 +18,8 @@
 //! frequency (2 GHz in Table I ⇒ 1 cycle = 0.5 ns). All latencies convert
 //! through [`timing::NvmTimings::cycles`].
 
+#![forbid(unsafe_code)]
+
 pub mod adr;
 pub mod command;
 pub mod config;

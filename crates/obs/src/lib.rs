@@ -22,6 +22,8 @@
 //! paths sort in a `BTreeMap`, floats serialize via Rust's shortest
 //! round-trip formatting, and histograms record exact integer cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod alarm;
 pub mod hist;
 pub mod json;

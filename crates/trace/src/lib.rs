@@ -17,6 +17,8 @@
 //!   parameters, plus custom constructors.
 //! * [`mod@file`] — compact binary trace record/replay (13 B/op, streaming).
 
+#![forbid(unsafe_code)]
+
 pub mod file;
 pub mod pattern;
 pub mod record;

@@ -38,6 +38,8 @@
 //! assert_eq!(recovered.read(addr).unwrap(), [0xAB; 64]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use steins_cache as cache;
 pub use steins_core as core;
 pub use steins_crypto as crypto;
