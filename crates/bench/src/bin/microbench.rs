@@ -8,6 +8,12 @@
 //! * HMAC-SHA-256/64 over the 72 B node-MAC message (msgs/s) — midstate
 //!   fast path vs clone-based two-hasher reference
 //! * the 88 B data-MAC (msgs/s)
+//! * both MACs on SHA-NI vs the portable scalar rounds (`*_shani` rows,
+//!   `"requires": "sha"`; left out on hosts without SHA-NI)
+//! * both MACs in batches of 64: a portable serial loop vs the multi-lane
+//!   batch (AVX2 8-lane where available, else 4-lane) — pinned to those two
+//!   backends, so the rows keep measuring lanes even where SHA-NI is the
+//!   default backend
 //! * sparse line-store reads (reads/s) — FxHash store vs std SipHash map
 //! * end-to-end secure writes (writes/s) at both crypto fidelities
 //!
@@ -18,7 +24,9 @@ use std::collections::HashMap;
 use steins_bench::micro;
 use steins_core::{SchemeKind, SystemConfig};
 use steins_crypto::aes::reference::RefAes128;
-use steins_crypto::{engine::make_engine, Aes128, CryptoKind, HmacSha256, SecretKey, Sha256};
+use steins_crypto::{
+    engine::make_engine, Aes128, Backend, CryptoKind, HmacSha256, SecretKey, Sha256,
+};
 use steins_metadata::CounterMode;
 use steins_nvm::SparseStore;
 use steins_trace::{Workload, WorkloadKind};
@@ -66,6 +74,8 @@ struct Entry {
     rate_unit: &'static str,
     /// Work per op in `rate_unit` terms (64 for B/op, 1 for msgs etc.).
     work_per_op: f64,
+    /// CPU feature the row needs; `perf_gate` skips it on hosts without.
+    requires: Option<&'static str>,
 }
 
 impl Entry {
@@ -119,6 +129,7 @@ fn main() {
         after_ns: after,
         rate_unit: "B/s",
         work_per_op: 64.0,
+        requires: None,
     });
 
     let mut g = micro::group("hmac");
@@ -136,6 +147,10 @@ fn main() {
         hmac.mac64_fixed(&msg72),
         "fast path must compute the same MAC"
     );
+    // Both sides of this row and `data_mac_88B` run SHA-256 on the host's
+    // default backend, so a ratio recorded with SHA-NI only compares with
+    // runs that have it.
+    let default_requires = (hmac.backend() == Backend::ShaNi).then_some("sha");
     entries.push(Entry {
         name: "hmac_mac64_72B",
         unit: "ns per 72 B MAC",
@@ -143,6 +158,7 @@ fn main() {
         after_ns: after,
         rate_unit: "msgs/s",
         work_per_op: 1.0,
+        requires: default_requires,
     });
 
     let engine = make_engine(CryptoKind::Real, SecretKey([1; 16]));
@@ -166,6 +182,7 @@ fn main() {
         after_ns: after,
         rate_unit: "msgs/s",
         work_per_op: 1.0,
+        requires: default_requires,
     });
 
     // Satellite routing guard: the two hot message sizes must stay on the
@@ -184,7 +201,54 @@ fn main() {
         "data_mac must build the canonical 88 B message and route it through mac64_88"
     );
 
+    // The portable scalar rounds: the "before" of the SHA-NI rows and of
+    // the batched rows' serial loop.
+    let portable = hmac
+        .clone()
+        .with_backend(Backend::PortableLanes)
+        .expect("the portable backend runs everywhere");
+    if let Some(shani) = hmac.clone().with_backend(Backend::ShaNi) {
+        let before = g.bench("mac64_72B_portable", || {
+            std::hint::black_box(portable.mac64_72(&msg72));
+        });
+        let after = g.bench("mac64_72B_shani", || {
+            std::hint::black_box(shani.mac64_72(&msg72));
+        });
+        assert_eq!(portable.mac64_72(&msg72), shani.mac64_72(&msg72));
+        entries.push(Entry {
+            name: "hmac_mac64_72B_shani",
+            unit: "ns per 72 B MAC (portable scalar vs SHA-NI)",
+            before_ns: before,
+            after_ns: after,
+            rate_unit: "msgs/s",
+            work_per_op: 1.0,
+            requires: Some("sha"),
+        });
+        let before = g.bench("mac64_88B_portable", || {
+            std::hint::black_box(portable.mac64_88(&msg88));
+        });
+        let after = g.bench("mac64_88B_shani", || {
+            std::hint::black_box(shani.mac64_88(&msg88));
+        });
+        assert_eq!(portable.mac64_88(&msg88), shani.mac64_88(&msg88));
+        entries.push(Entry {
+            name: "data_mac_88B_shani",
+            unit: "ns per 88 B data MAC (portable scalar vs SHA-NI)",
+            before_ns: before,
+            after_ns: after,
+            rate_unit: "msgs/s",
+            work_per_op: 1.0,
+            requires: Some("sha"),
+        });
+    } else {
+        println!("hmac_mac64_72B_shani, data_mac_88B_shani: skipped: host lacks sha");
+    }
+
     let mut g = micro::group("hmac_batched");
+    let lanes = [Backend::Avx2Lanes, Backend::PortableLanes]
+        .into_iter()
+        .find_map(|b| hmac.clone().with_backend(b))
+        .expect("the portable backend runs everywhere");
     const BATCH: usize = 64;
     let msgs72: Vec<[u8; 72]> = (0..BATCH)
         .map(|i| core::array::from_fn(|j| (i * 7 + j) as u8))
@@ -195,49 +259,51 @@ fn main() {
     let mut out = [0u64; BATCH];
     let before = g.bench("mac64_72B_serial_loop", || {
         for (m, o) in msgs72.iter().zip(out.iter_mut()) {
-            *o = hmac.mac64_72(m);
+            *o = portable.mac64_72(m);
         }
         std::hint::black_box(&out);
     }) / BATCH as f64;
     let after = g.bench("mac64_72B_multi_lane", || {
-        hmac.mac64_72_many(&msgs72, &mut out);
+        lanes.mac64_72_many(&msgs72, &mut out);
         std::hint::black_box(&out);
     }) / BATCH as f64;
     {
         // Differential: the measured batch must produce the serial bytes.
         let mut serial = [0u64; BATCH];
         for (m, o) in msgs72.iter().zip(serial.iter_mut()) {
-            *o = hmac.mac64_72(m);
+            *o = portable.mac64_72(m);
         }
         let mut batched = [0u64; BATCH];
-        hmac.mac64_72_many(&msgs72, &mut batched);
+        lanes.mac64_72_many(&msgs72, &mut batched);
         assert_eq!(serial, batched, "batched path must compute the same MACs");
     }
     entries.push(Entry {
         name: "hmac_mac64_72B_batched",
-        unit: "ns per 72 B MAC (batch of 64, serial loop vs multi-lane)",
+        unit: "ns per 72 B MAC (batch of 64, portable serial loop vs multi-lane)",
         before_ns: before,
         after_ns: after,
         rate_unit: "msgs/s",
         work_per_op: 1.0,
+        requires: None,
     });
     let before = g.bench("mac64_88B_serial_loop", || {
         for (m, o) in msgs88.iter().zip(out.iter_mut()) {
-            *o = hmac.mac64_88(m);
+            *o = portable.mac64_88(m);
         }
         std::hint::black_box(&out);
     }) / BATCH as f64;
     let after = g.bench("mac64_88B_multi_lane", || {
-        hmac.mac64_88_many(&msgs88, &mut out);
+        lanes.mac64_88_many(&msgs88, &mut out);
         std::hint::black_box(&out);
     }) / BATCH as f64;
     entries.push(Entry {
         name: "data_mac_88B_batched",
-        unit: "ns per 88 B data MAC (batch of 64, serial loop vs multi-lane)",
+        unit: "ns per 88 B data MAC (batch of 64, portable serial loop vs multi-lane)",
         before_ns: before,
         after_ns: after,
         rate_unit: "msgs/s",
         work_per_op: 1.0,
+        requires: None,
     });
 
     let mut g = micro::group("line_store");
@@ -265,6 +331,7 @@ fn main() {
         after_ns: after,
         rate_unit: "reads/s",
         work_per_op: 1.0,
+        requires: None,
     });
 
     let mut g = micro::group("end_to_end");
@@ -277,14 +344,18 @@ fn main() {
         after_ns: fast,
         rate_unit: "ops/s",
         work_per_op: 1.0,
+        requires: None,
     });
 
     // Hand-rolled JSON (the repo has no serde dependency).
     let mut json = String::from("{\n  \"suite\": \"steins microbench (hot-path before/after)\",\n");
     json.push_str("  \"benches\": [\n");
     for (i, e) in entries.iter().enumerate() {
+        let requires = e
+            .requires
+            .map_or(String::new(), |f| format!(", \"requires\": \"{f}\""));
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"unit\": \"{}\", \"before_ns\": {:.1}, \"after_ns\": {:.1}, \"speedup\": {:.2}, \"rate_after\": {:.3e}, \"rate_unit\": \"{}\"}}{}\n",
+            "    {{\"name\": \"{}\", \"unit\": \"{}\", \"before_ns\": {:.1}, \"after_ns\": {:.1}, \"speedup\": {:.2}, \"rate_after\": {:.3e}, \"rate_unit\": \"{}\"{}}}{}\n",
             e.name,
             e.unit,
             e.before_ns,
@@ -292,6 +363,7 @@ fn main() {
             e.speedup(),
             e.rate_after(),
             e.rate_unit,
+            requires,
             if i + 1 < entries.len() { "," } else { "" }
         ));
     }

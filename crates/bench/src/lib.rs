@@ -28,6 +28,7 @@ pub mod ladder;
 pub mod metrics;
 pub mod micro;
 pub mod par;
+pub mod perf_gate;
 pub mod recovery_bench;
 pub mod shape;
 pub mod stress;

@@ -12,16 +12,78 @@
 //! plus its padding is a single block. No allocation, no buffer copies, no
 //! intermediate `Sha256` clones.
 //!
-//! On top of the scalar path sit the **batched** entry points
-//! ([`HmacSha256::mac64_many`] and the fixed-length variants): `N`
-//! independent messages are pressed through the multi-lane compression of
-//! [`crate::sha256_multi`], 8 messages per call where AVX2 is available
-//! (runtime-detected, like the AES-NI path) and 4 otherwise, with scalar
-//! mop-up for ragged tails. Lane outputs are bit-identical to the serial
-//! path — batching changes throughput, never bytes.
+//! Every MAC runs on one [`Backend`], probed once at key setup like
+//! [`crate::aes::Aes128`]'s AES-NI flag, fastest first:
+//!
+//! 1. [`Backend::ShaNi`] — the x86 SHA extensions. Single messages *and*
+//!    batches run one message at a time through
+//!    the SHA-NI compression: one SHA-NI MAC is cheaper than its
+//!    share of an 8-lane AVX2 batch, so lanes would only add latency.
+//! 2. [`Backend::Avx2Lanes`] — the **batched** entry points
+//!    ([`HmacSha256::mac64_many`] and the fixed-length variants) press 8
+//!    independent messages per call through the AVX2 multi-lane compression
+//!    of [`crate::sha256_multi`]; single messages run the portable rounds.
+//! 3. [`Backend::PortableLanes`] — the same with the portable 4-lane
+//!    compression.
+//!
+//! Lane batches fall back to the single-message path for mixed lengths and
+//! ragged tails. Every backend is bit-identical to the portable scalar
+//! rounds — the backend changes throughput, never bytes.
 
-use crate::sha256::{Sha256, H0};
+use crate::sha256::{sha_ni_available, Sha256, H0};
 use crate::sha256_multi::{compress_lanes, wide_lanes_available, LANES_PORTABLE, LANES_WIDE};
+
+/// The compression an [`HmacSha256`] runs its MACs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// SHA-NI for every MAC, one message at a time.
+    ShaNi,
+    /// 8-lane AVX2 batches; portable rounds for single messages.
+    Avx2Lanes,
+    /// 4-lane portable batches; portable rounds for single messages.
+    PortableLanes,
+}
+
+impl Backend {
+    /// Every backend, fastest first — the order [`Backend::probe`] tries.
+    pub const ALL: [Backend; 3] = [Backend::ShaNi, Backend::Avx2Lanes, Backend::PortableLanes];
+
+    /// The fastest backend the running CPU supports.
+    pub fn probe() -> Backend {
+        Self::ALL
+            .into_iter()
+            .find(|b| b.available())
+            .unwrap_or(Backend::PortableLanes)
+    }
+
+    /// Whether the running CPU supports this backend.
+    pub fn available(self) -> bool {
+        match self {
+            Backend::ShaNi => sha_ni_available(),
+            Backend::Avx2Lanes => wide_lanes_available(),
+            Backend::PortableLanes => true,
+        }
+    }
+
+    /// The CPU feature this backend needs (`None`: runs everywhere).
+    pub fn requires(self) -> Option<&'static str> {
+        match self {
+            Backend::ShaNi => Some("sha"),
+            Backend::Avx2Lanes => Some("avx2"),
+            Backend::PortableLanes => None,
+        }
+    }
+
+    /// Lanes a batch fills per compression call; `1` means batches run one
+    /// message at a time.
+    pub fn lanes(self) -> usize {
+        match self {
+            Backend::ShaNi => 1,
+            Backend::Avx2Lanes => LANES_WIDE,
+            Backend::PortableLanes => LANES_PORTABLE,
+        }
+    }
+}
 
 /// Keyed HMAC-SHA-256 instance with precomputed inner/outer midstates.
 #[derive(Clone)]
@@ -30,8 +92,8 @@ pub struct HmacSha256 {
     istate: [u32; 8],
     /// Chaining value after compressing `key ^ opad`.
     ostate: [u32; 8],
-    /// Whether the running CPU's 8-lane (AVX2) compression is usable.
-    wide: bool,
+    /// The compression every MAC of this instance runs on.
+    backend: Backend,
 }
 
 impl HmacSha256 {
@@ -57,34 +119,39 @@ impl HmacSha256 {
         HmacSha256 {
             istate,
             ostate,
-            wide: wide_lanes_available(),
+            backend: Backend::probe(),
         }
     }
 
-    /// Lanes the batched paths fill per multi-lane call on this CPU.
+    /// The backend this instance runs on.
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
+
+    /// Lanes the batched paths fill per compression call on this backend.
     pub fn lane_count(&self) -> usize {
-        if self.wide {
-            LANES_WIDE
-        } else {
-            LANES_PORTABLE
-        }
+        self.backend.lanes()
     }
 
-    /// Caps the instance at the portable 4-lane path even where AVX2 is
-    /// available — differential tests exercise both widths on one machine.
+    /// Pins the instance to `backend`, or `None` where the running CPU lacks
+    /// it — differential tests and benches exercise every backend on one
+    /// machine.
     #[cfg(any(test, feature = "ref-impls"))]
-    pub fn force_narrow_lanes(mut self) -> Self {
-        self.wide = false;
-        self
+    pub fn with_backend(mut self, backend: Backend) -> Option<Self> {
+        if !backend.available() {
+            return None;
+        }
+        self.backend = backend;
+        Some(self)
     }
 
     /// Inner hash: `SHA-256(ipad-midstate ‖ msg)` with stack-built padding.
-    #[inline]
-    fn inner_state(&self, msg: &[u8]) -> [u32; 8] {
+    #[inline(always)]
+    fn inner_state(&self, msg: &[u8], compress: impl Fn(&mut [u32; 8], &[u8; 64])) -> [u32; 8] {
         let mut st = self.istate;
         let mut chunks = msg.chunks_exact(64);
         for chunk in &mut chunks {
-            Sha256::compress(&mut st, chunk.try_into().unwrap());
+            compress(&mut st, chunk.try_into().unwrap());
         }
         let rest = chunks.remainder();
         // Total hashed length includes the 64-byte ipad block.
@@ -93,18 +160,22 @@ impl HmacSha256 {
         block[..rest.len()].copy_from_slice(rest);
         block[rest.len()] = 0x80;
         if rest.len() >= 56 {
-            Sha256::compress(&mut st, &block);
+            compress(&mut st, &block);
             block = [0u8; 64];
         }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        Sha256::compress(&mut st, &block);
+        compress(&mut st, &block);
         st
     }
 
     /// Outer hash: one compression — 32 digest bytes, padding, and the
     /// length (64 + 32 bytes = 768 bits) all fit in a single block.
-    #[inline]
-    fn outer_state(&self, inner: [u32; 8]) -> [u32; 8] {
+    #[inline(always)]
+    fn outer_state(
+        &self,
+        inner: [u32; 8],
+        compress: impl Fn(&mut [u32; 8], &[u8; 64]),
+    ) -> [u32; 8] {
         let mut block = [0u8; 64];
         for (i, word) in inner.iter().enumerate() {
             block[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -112,13 +183,43 @@ impl HmacSha256 {
         block[32] = 0x80;
         block[56..].copy_from_slice(&(96u64 * 8).to_be_bytes());
         let mut st = self.ostate;
-        Sha256::compress(&mut st, &block);
+        compress(&mut st, &block);
         st
+    }
+
+    /// Final (outer) state of the HMAC of `msg`, on this instance's backend.
+    #[inline]
+    fn mac_state(&self, msg: &[u8]) -> [u32; 8] {
+        #[cfg(target_arch = "x86_64")]
+        if self.backend == Backend::ShaNi {
+            // SAFETY: `ShaNi` is set only when `sha_ni_available()` holds.
+            return unsafe { self.mac_state_shani(msg) };
+        }
+        let st = self.inner_state(msg, Sha256::compress_portable);
+        self.outer_state(st, Sha256::compress_portable)
+    }
+
+    /// [`Self::mac_state`] compiled with the SHA extensions enabled, so
+    /// every compression inlines.
+    ///
+    /// # Safety
+    /// The features of [`crate::sha256::shani::compress`] must be available
+    /// (runtime-detected via [`sha_ni_available`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn mac_state_shani(&self, msg: &[u8]) -> [u32; 8] {
+        // SAFETY: callers reach this only under `Backend::ShaNi`, i.e.
+        // after `sha_ni_available()` held.
+        let compress = |st: &mut [u32; 8], block: &[u8; 64]| unsafe {
+            crate::sha256::shani::compress(st, block)
+        };
+        let st = self.inner_state(msg, compress);
+        self.outer_state(st, compress)
     }
 
     /// Full 32-byte HMAC of `msg`.
     pub fn mac(&self, msg: &[u8]) -> [u8; 32] {
-        let st = self.outer_state(self.inner_state(msg));
+        let st = self.mac_state(msg);
         let mut out = [0u8; 32];
         for (i, word) in st.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -130,11 +231,7 @@ impl HmacSha256 {
     /// One-shot: only the first two state words are ever serialized.
     #[inline]
     pub fn mac64(&self, msg: &[u8]) -> u64 {
-        let st = self.outer_state(self.inner_state(msg));
-        let mut first8 = [0u8; 8];
-        first8[..4].copy_from_slice(&st[0].to_be_bytes());
-        first8[4..].copy_from_slice(&st[1].to_be_bytes());
-        u64::from_le_bytes(first8)
+        Self::truncate64(&self.mac_state(msg))
     }
 
     /// Message lengths with a dedicated monomorphized fast path wired into
@@ -152,11 +249,41 @@ impl HmacSha256 {
     /// `mac64(msg)`.
     #[inline]
     pub fn mac64_fixed<const N: usize>(&self, msg: &[u8; N]) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        if self.backend == Backend::ShaNi {
+            // SAFETY: `ShaNi` is set only when `sha_ni_available()` holds.
+            return unsafe { self.mac64_fixed_shani(msg) };
+        }
+        self.mac64_fixed_with(msg, Sha256::compress_portable)
+    }
+
+    /// [`Self::mac64_fixed`] compiled with the SHA extensions enabled.
+    ///
+    /// # Safety
+    /// The features of [`crate::sha256::shani::compress`] must be available
+    /// (runtime-detected via [`sha_ni_available`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn mac64_fixed_shani<const N: usize>(&self, msg: &[u8; N]) -> u64 {
+        // SAFETY: callers reach this only under `Backend::ShaNi`, i.e.
+        // after `sha_ni_available()` held.
+        self.mac64_fixed_with(msg, |st, block| unsafe {
+            crate::sha256::shani::compress(st, block)
+        })
+    }
+
+    /// The body of [`Self::mac64_fixed`] over one compression function.
+    #[inline(always)]
+    fn mac64_fixed_with<const N: usize>(
+        &self,
+        msg: &[u8; N],
+        compress: impl Fn(&mut [u32; 8], &[u8; 64]),
+    ) -> u64 {
         let mut st = self.istate;
         let full = N / 64;
         for b in 0..full {
             let block: &[u8; 64] = msg[b * 64..b * 64 + 64].try_into().unwrap();
-            Sha256::compress(&mut st, block);
+            compress(&mut st, block);
         }
         let rem = N % 64;
         // Total hashed length includes the 64-byte ipad block.
@@ -165,12 +292,12 @@ impl HmacSha256 {
         block[..rem].copy_from_slice(&msg[full * 64..]);
         block[rem] = 0x80;
         if rem >= 56 {
-            Sha256::compress(&mut st, &block);
+            compress(&mut st, &block);
             block = [0u8; 64];
         }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        Sha256::compress(&mut st, &block);
-        let st = self.outer_state(st);
+        compress(&mut st, &block);
+        let st = self.outer_state(st, compress);
         Self::truncate64(&st)
     }
 
@@ -254,7 +381,7 @@ impl HmacSha256 {
     ///
     /// # Safety
     /// The `avx2` target feature must be available (runtime-detected via
-    /// `self.wide`, which is set only by `is_x86_feature_detected!`).
+    /// [`wide_lanes_available`]).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn mac64_lanes8_avx2(&self, msgs: [&[u8]; 8]) -> [u64; 8] {
@@ -266,19 +393,21 @@ impl HmacSha256 {
 
     /// Batched [`Self::mac64`]: `out[i] = mac64(msgs[i])` for every `i`.
     ///
-    /// Runs of [`Self::lane_count`] equal-length messages go through the
-    /// multi-lane compression; mixed-length runs and the ragged tail fall
-    /// back to the scalar path, so output bytes never depend on batch shape.
+    /// On the lane backends, runs of [`Self::lane_count`] equal-length
+    /// messages go through the multi-lane compression; mixed-length runs and
+    /// the ragged tail fall back to the single-message path, as does every
+    /// message under [`Backend::ShaNi`]. Output bytes never depend on batch
+    /// shape.
     pub fn mac64_many(&self, msgs: &[&[u8]], out: &mut [u64]) {
         assert_eq!(msgs.len(), out.len(), "one output slot per message");
         let mut i = 0;
         #[cfg(target_arch = "x86_64")]
-        if self.wide {
+        if self.backend == Backend::Avx2Lanes {
             while i + LANES_WIDE <= msgs.len() {
                 let chunk: [&[u8]; LANES_WIDE] = msgs[i..i + LANES_WIDE].try_into().unwrap();
                 if chunk.iter().all(|m| m.len() == chunk[0].len()) {
-                    // SAFETY: `wide` is set only when `is_x86_feature_detected!`
-                    // confirmed AVX2 on this CPU.
+                    // SAFETY: `Avx2Lanes` is set only when
+                    // `wide_lanes_available()` holds.
                     let macs = unsafe { self.mac64_lanes8_avx2(chunk) };
                     out[i..i + LANES_WIDE].copy_from_slice(&macs);
                     i += LANES_WIDE;
@@ -288,7 +417,7 @@ impl HmacSha256 {
                 }
             }
         }
-        while i + LANES_PORTABLE <= msgs.len() {
+        while self.backend != Backend::ShaNi && i + LANES_PORTABLE <= msgs.len() {
             let chunk: [&[u8]; LANES_PORTABLE] = msgs[i..i + LANES_PORTABLE].try_into().unwrap();
             if chunk.iter().all(|m| m.len() == chunk[0].len()) {
                 let macs = self.mac64_lanes::<LANES_PORTABLE>(chunk);
@@ -305,24 +434,25 @@ impl HmacSha256 {
         }
     }
 
-    /// Batched fixed-length MACs (uniform length by construction, so every
-    /// full chunk takes the multi-lane path; the tail is scalar mop-up).
+    /// Batched fixed-length MACs (uniform length by construction, so on the
+    /// lane backends every full chunk takes the multi-lane path and the tail
+    /// is single-message mop-up; [`Backend::ShaNi`] runs them all singly).
     #[inline]
     pub fn mac64_fixed_many<const N: usize>(&self, msgs: &[[u8; N]], out: &mut [u64]) {
         assert_eq!(msgs.len(), out.len(), "one output slot per message");
         let mut i = 0;
         #[cfg(target_arch = "x86_64")]
-        if self.wide {
+        if self.backend == Backend::Avx2Lanes {
             while i + LANES_WIDE <= msgs.len() {
                 let chunk: [&[u8]; LANES_WIDE] = core::array::from_fn(|l| msgs[i + l].as_slice());
-                // SAFETY: `wide` is set only when `is_x86_feature_detected!`
-                // confirmed AVX2 on this CPU.
+                // SAFETY: `Avx2Lanes` is set only when
+                // `wide_lanes_available()` holds.
                 let macs = unsafe { self.mac64_lanes8_avx2(chunk) };
                 out[i..i + LANES_WIDE].copy_from_slice(&macs);
                 i += LANES_WIDE;
             }
         }
-        while i + LANES_PORTABLE <= msgs.len() {
+        while self.backend != Backend::ShaNi && i + LANES_PORTABLE <= msgs.len() {
             let chunk: [&[u8]; LANES_PORTABLE] = core::array::from_fn(|l| msgs[i + l].as_slice());
             let macs = self.mac64_lanes::<LANES_PORTABLE>(chunk);
             out[i..i + LANES_PORTABLE].copy_from_slice(&macs);
@@ -352,8 +482,10 @@ impl HmacSha256 {
 pub mod reference {
     use super::HmacSha256;
 
-    /// Per-message scalar `mac64` — the semantics `mac64_many` must match
-    /// byte-for-byte on every batch shape.
+    /// Per-message `mac64` — the semantics `mac64_many` must match
+    /// byte-for-byte on every batch shape. On a
+    /// [`super::Backend::PortableLanes`] instance this is the portable
+    /// scalar reference.
     pub fn mac64_many_ref(h: &HmacSha256, msgs: &[&[u8]], out: &mut [u64]) {
         for (m, o) in msgs.iter().zip(out.iter_mut()) {
             *o = h.mac64(m);
@@ -394,51 +526,101 @@ mod tests {
         outer.finalize()
     }
 
+    /// One instance of `key` per backend the host runs, fastest first.
+    /// Prints each backend it skips, so a host without SHA-NI (or AVX2)
+    /// shows those cases as skipped instead of passing them silently.
+    fn each_backend(key: &[u8]) -> Vec<HmacSha256> {
+        Backend::ALL
+            .into_iter()
+            .filter_map(|b| {
+                let h = HmacSha256::new(key).with_backend(b);
+                if h.is_none() {
+                    println!("skipped {b:?}: host lacks {}", b.requires().unwrap_or("?"));
+                }
+                h
+            })
+            .collect()
+    }
+
+    /// The portable scalar reference: every MAC on the scalar rounds.
+    fn portable(key: &[u8]) -> HmacSha256 {
+        HmacSha256::new(key)
+            .with_backend(Backend::PortableLanes)
+            .expect("the portable backend runs everywhere")
+    }
+
+    /// Reports the probed backend (CI runs this with `--nocapture`) and
+    /// pins the probe to the fastest available one.
+    #[test]
+    fn probed_backend_is_the_fastest_available() {
+        let probed = HmacSha256::new(b"probe").backend();
+        let available: Vec<Backend> = Backend::ALL.into_iter().filter(|b| b.available()).collect();
+        println!(
+            "HMAC backend: {probed:?} ({} lane(s)); available on this host: {available:?}",
+            probed.lanes()
+        );
+        assert_eq!(available.first(), Some(&probed));
+        assert_eq!(available.last(), Some(&Backend::PortableLanes));
+    }
+
+    fn rfc4231(key: &[u8], msg: &[u8], expect: &str) {
+        for h in each_backend(key) {
+            assert_eq!(hex(&h.mac(msg)), expect, "{:?}", h.backend());
+        }
+    }
+
     #[test]
     fn rfc4231_case1() {
-        let h = HmacSha256::new(&[0x0b; 20]);
-        assert_eq!(
-            hex(&h.mac(b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        rfc4231(
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case2() {
-        let h = HmacSha256::new(b"Jefe");
-        assert_eq!(
-            hex(&h.mac(b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        rfc4231(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     #[test]
     fn rfc4231_case3() {
-        let h = HmacSha256::new(&[0xaa; 20]);
-        assert_eq!(
-            hex(&h.mac(&[0xdd; 50])),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        rfc4231(
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_case6_long_key() {
-        let h = HmacSha256::new(&[0xaa; 131]);
-        assert_eq!(
-            hex(&h.mac(b"Test Using Larger Than Block-Size Key - Hash Key First")),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        rfc4231(
+            &[0xaa; 131],
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 
     /// The midstate fast path must agree with the two-hasher reference on
-    /// every message length around the block/padding boundaries.
+    /// every message length around the block/padding boundaries, on every
+    /// backend.
     #[test]
     fn midstate_matches_reference_all_boundary_lengths() {
         let key = b"steins-mac-key";
-        let h = HmacSha256::new(key);
         let data: Vec<u8> = (0..300).map(|i| (i * 31 + 7) as u8).collect();
-        for len in 0..=data.len() {
-            assert_eq!(h.mac(&data[..len]), mac_ref(key, &data[..len]), "len={len}");
+        for h in each_backend(key) {
+            for len in 0..=data.len() {
+                let b = h.backend();
+                assert_eq!(
+                    h.mac(&data[..len]),
+                    mac_ref(key, &data[..len]),
+                    "{b:?} len={len}"
+                );
+            }
         }
     }
 
@@ -517,14 +699,14 @@ mod tests {
         *x
     }
 
-    /// The tentpole differential: 10 000 random messages (random lengths,
-    /// random bytes) pressed through the multi-lane batch path in random
-    /// batch shapes must be byte-identical to the scalar reference — at both
-    /// lane widths.
+    /// The backend differential: 10 000 random messages (random lengths,
+    /// random bytes) pressed through the batch path in random batch shapes
+    /// must be byte-identical to the portable scalar reference — on every
+    /// backend the host runs.
     #[test]
     fn multi_lane_matches_scalar_on_10k_random_messages() {
-        let wide = HmacSha256::new(b"multi-lane-key");
-        let narrow = wide.clone().force_narrow_lanes();
+        let scalar = portable(b"multi-lane-key");
+        let backends = each_backend(b"multi-lane-key");
         let mut seed = 0x5eed_1234_u64;
         let mut msgs: Vec<Vec<u8>> = Vec::with_capacity(10_000);
         for _ in 0..10_000 {
@@ -537,59 +719,58 @@ mod tests {
             let end = (start + batch).min(msgs.len());
             let refs: Vec<&[u8]> = msgs[start..end].iter().map(|m| m.as_slice()).collect();
             let mut expect = vec![0u64; refs.len()];
-            reference::mac64_many_ref(&wide, &refs, &mut expect);
-            for h in [&wide, &narrow] {
+            reference::mac64_many_ref(&scalar, &refs, &mut expect);
+            for h in &backends {
                 let mut got = vec![0u64; refs.len()];
                 h.mac64_many(&refs, &mut got);
-                assert_eq!(got, expect, "batch [{start}, {end})");
+                assert_eq!(got, expect, "{:?} batch [{start}, {end})", h.backend());
             }
             start = end;
         }
     }
 
     /// Uniform-length batches (the hot shape): 10 000 random 72 B and 88 B
-    /// messages through the fixed batch paths.
+    /// messages through the fixed batch paths of every backend.
     #[test]
     fn fixed_many_matches_scalar_on_10k_random_messages() {
-        let wide = HmacSha256::new(b"fixed-many-key");
-        let narrow = wide.clone().force_narrow_lanes();
+        let scalar = portable(b"fixed-many-key");
+        let backends = each_backend(b"fixed-many-key");
         let mut seed = 0xfeed_5678_u64;
-        fn run<const N: usize>(wide: &HmacSha256, narrow: &HmacSha256, seed: &mut u64) {
+        fn run<const N: usize>(scalar: &HmacSha256, backends: &[HmacSha256], seed: &mut u64) {
             let msgs: Vec<[u8; N]> = (0..5_000)
                 .map(|_| core::array::from_fn(|_| lcg(seed) as u8))
                 .collect();
-            let expect: Vec<u64> = msgs.iter().map(|m| wide.mac64(m)).collect();
-            for h in [wide, narrow] {
+            let expect: Vec<u64> = msgs.iter().map(|m| scalar.mac64(m)).collect();
+            for h in backends {
                 let mut got = vec![0u64; msgs.len()];
                 h.mac64_fixed_many(&msgs, &mut got);
-                assert_eq!(got, expect, "N={N}");
+                assert_eq!(got, expect, "{:?} N={N}", h.backend());
             }
         }
-        run::<72>(&wide, &narrow, &mut seed);
-        run::<88>(&wide, &narrow, &mut seed);
+        run::<72>(&scalar, &backends, &mut seed);
+        run::<88>(&scalar, &backends, &mut seed);
     }
 
     /// Ragged batch sizes around the lane count: 1, L−1, L, L+1, 3L+2 — the
     /// shapes where a lane/tail split bug would hide.
     #[test]
     fn ragged_batch_sizes_match_serial() {
-        for h in [
-            HmacSha256::new(b"ragged-key"),
-            HmacSha256::new(b"ragged-key").force_narrow_lanes(),
-        ] {
+        let scalar = portable(b"ragged-key");
+        for h in each_backend(b"ragged-key") {
             let lanes = h.lane_count();
             for n in [1, lanes - 1, lanes, lanes + 1, 3 * lanes + 2] {
                 let msgs: Vec<[u8; 72]> = (0..n)
                     .map(|i| core::array::from_fn(|j| (i * 72 + j) as u8))
                     .collect();
                 let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-                let expect: Vec<u64> = msgs.iter().map(|m| h.mac64(m)).collect();
+                let expect: Vec<u64> = msgs.iter().map(|m| scalar.mac64(m)).collect();
+                let b = h.backend();
                 let mut got = vec![0u64; n];
                 h.mac64_many(&refs, &mut got);
-                assert_eq!(got, expect, "mac64_many n={n} lanes={lanes}");
+                assert_eq!(got, expect, "{b:?} mac64_many n={n} lanes={lanes}");
                 let mut got_fixed = vec![0u64; n];
                 h.mac64_72_many(&msgs, &mut got_fixed);
-                assert_eq!(got_fixed, expect, "mac64_72_many n={n} lanes={lanes}");
+                assert_eq!(got_fixed, expect, "{b:?} mac64_72_many n={n} lanes={lanes}");
             }
         }
     }

@@ -27,7 +27,7 @@ pub use engine::{
     data_mac_message, CryptoEngine, CryptoKind, FastCrypto, RealCrypto, SerialPresentation,
 };
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHasher64, SipHash24};
-pub use hmac::HmacSha256;
+pub use hmac::{Backend, HmacSha256};
 pub use sha256::Sha256;
 pub use sha256_multi::{wide_lanes_available, LANES_PORTABLE, LANES_WIDE};
 

@@ -3,10 +3,22 @@
 //! Used by [`crate::hmac::HmacSha256`] for the MAC engine and by
 //! [`crate::SecretKey::derive`] for key derivation.
 //!
-//! The compression function keeps only a rolling 16-word message schedule
-//! (instead of materializing all 64 `W[t]` up front) and unrolls the round
-//! loop so the eight working variables never shuffle through a register
-//! rotation — the standard software-SHA-256 shape, ~2× the naive loop.
+//! Two compression functions, one dispatch:
+//!
+//! * `shani::compress` — the x86 SHA extensions (`sha256rnds2`,
+//!   `sha256msg1`/`msg2`), selected at runtime via
+//!   `sha_ni_available` exactly like the AES-NI path in [`crate::aes`].
+//! * `Sha256::compress_portable` — the scalar rounds, kept as the
+//!   portable path and as the differential reference. It keeps only a
+//!   rolling 16-word message schedule (instead of materializing all 64
+//!   `W[t]` up front) and unrolls the round loop so the eight working
+//!   variables never shuffle through a register rotation — the standard
+//!   software-SHA-256 shape, ~2× the naive loop.
+//!
+//! `Sha256::compress` picks the first available of the two, so
+//! [`Sha256::update`], [`Sha256::digest`], key derivation and the HMAC key
+//! midstates all run on SHA-NI where the CPU has it. Both paths are
+//! bit-identical; only the speed differs.
 
 pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -68,10 +80,24 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// One compression round over a 64-byte block (FIPS-180-4 §6.2.2),
-    /// shared with the HMAC fast path.
+    /// One compression round over a 64-byte block (FIPS-180-4 §6.2.2) on
+    /// the fastest available backend: SHA-NI, else the portable rounds.
     #[inline]
     pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni_available() {
+            // SAFETY: `sha_ni_available` confirmed every feature
+            // `shani::compress` enables.
+            unsafe { shani::compress(state, block) };
+            return;
+        }
+        Self::compress_portable(state, block);
+    }
+
+    /// The scalar compression: the portable path and the reference every
+    /// other backend is differential-tested against.
+    #[inline]
+    pub(crate) fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 16];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
@@ -195,6 +221,145 @@ impl Sha256 {
     }
 }
 
+/// Whether the running CPU has the SHA extensions (plus the SSE4.1 blend
+/// the state shuffle uses). The probe is cached by `std`, so callers may
+/// ask per call; HMAC instances still probe once at key setup.
+pub(crate) fn sha_ni_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("sha") && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// SHA-256 compression on the x86 SHA extensions.
+///
+/// `sha256rnds2` runs two rounds on a state split across two registers in
+/// the instruction's `ABEF`/`CDGH` word order, taking `W[t] + K[t]` for
+/// both rounds in the low 64 bits of its third operand. `sha256msg1` and
+/// `sha256msg2` compute the σ0 and σ1 halves of the message schedule four
+/// words at a time; the `W[t-7]` term in between is an `alignr`.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod shani {
+    use super::K;
+    use core::arch::x86_64::*;
+
+    /// `K[t..t+4]` as one vector (lane `i` holds `K[t+i]`).
+    #[inline(always)]
+    unsafe fn k4(t: usize) -> __m128i {
+        _mm_set_epi32(
+            K[t + 3] as i32,
+            K[t + 2] as i32,
+            K[t + 1] as i32,
+            K[t] as i32,
+        )
+    }
+
+    /// One compression over `block`, bit-identical to
+    /// [`super::Sha256::compress_portable`].
+    ///
+    /// # Safety
+    /// The `sha`, `sse2`, `ssse3` and `sse4.1` target features must be
+    /// available (runtime-detected by [`super::sha_ni_available`], never
+    /// assumed).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(crate) unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Byte-swap mask: message words are big-endian, lanes little-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // [A B C D] [E F G H] -> [A B E F] [C D G H], the rnds2 operand
+        // order (most significant lane first).
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let abef_in = _mm_alignr_epi8(cdab, efgh, 8);
+        let cdgh_in = _mm_blend_epi16(efgh, cdab, 0xF0);
+        let mut abef = abef_in;
+        let mut cdgh = cdgh_in;
+
+        // Four rounds on the schedule quad `$w` = W[t..t+4].
+        macro_rules! rounds4 {
+            ($w:expr, $t:expr) => {{
+                let wk = _mm_add_epi32($w, k4($t));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+            }};
+        }
+        // Finishes the quad `$next` (already through msg1) from the two
+        // quads before it: adds W[t-7] and the σ1 half.
+        macro_rules! msg2 {
+            ($next:ident, $cur:ident, $prev:ident) => {
+                $next = _mm_sha256msg2_epu32(
+                    _mm_add_epi32($next, _mm_alignr_epi8($cur, $prev, 4)),
+                    $cur,
+                )
+            };
+        }
+        // Starts the quad 16 words past `$prev`: W[t-16] + σ0(W[t-15]).
+        macro_rules! msg1 {
+            ($prev:ident, $cur:ident) => {
+                $prev = _mm_sha256msg1_epu32($prev, $cur)
+            };
+        }
+
+        // A macro, not a closure: closures do not inherit `target_feature`.
+        macro_rules! load {
+            ($i:expr) => {
+                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * $i).cast()), bswap)
+            };
+        }
+        let mut w0 = load!(0);
+        let mut w1 = load!(1);
+        let mut w2 = load!(2);
+        let mut w3 = load!(3);
+
+        rounds4!(w0, 0);
+        rounds4!(w1, 4);
+        msg1!(w0, w1);
+        rounds4!(w2, 8);
+        msg1!(w1, w2);
+        rounds4!(w3, 12);
+        msg2!(w0, w3, w2);
+        msg1!(w2, w3);
+        // Steady state: each quad finishes the next one and starts the one
+        // three ahead.
+        macro_rules! quad {
+            ($t:expr, $cur:ident, $prev:ident, $next:ident) => {{
+                rounds4!($cur, $t);
+                msg2!($next, $cur, $prev);
+                msg1!($prev, $cur);
+            }};
+        }
+        quad!(16, w0, w3, w1);
+        quad!(20, w1, w0, w2);
+        quad!(24, w2, w1, w3);
+        quad!(28, w3, w2, w0);
+        quad!(32, w0, w3, w1);
+        quad!(36, w1, w0, w2);
+        quad!(40, w2, w1, w3);
+        quad!(44, w3, w2, w0);
+        quad!(48, w0, w3, w1);
+        rounds4!(w1, 52);
+        msg2!(w2, w1, w0);
+        rounds4!(w2, 56);
+        msg2!(w3, w2, w1);
+        rounds4!(w3, 60);
+
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        // Back to [A B C D] [E F G H].
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +392,34 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    /// SHA-NI differential: 20 000 random (state, block) pairs must
+    /// compress bit-identically on SHA-NI and on the portable rounds.
+    #[test]
+    fn sha_ni_compress_matches_portable_on_20k_random_pairs() {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni_available() {
+            let mut x = 0x5a17_c0de_u64;
+            let mut next = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 32) as u32
+            };
+            for i in 0..20_000 {
+                let state: [u32; 8] = core::array::from_fn(|_| next());
+                let block: [u8; 64] = core::array::from_fn(|_| next() as u8);
+                let mut portable = state;
+                Sha256::compress_portable(&mut portable, &block);
+                let mut hw = state;
+                // SAFETY: guarded by the `sha_ni_available` probe above.
+                unsafe { shani::compress(&mut hw, &block) };
+                assert_eq!(hw, portable, "pair {i}");
+            }
+            return;
+        }
+        println!("skipped: host lacks sha");
     }
 
     /// FIPS-180-4 long-message vector: one million 'a's — 15,625 straight

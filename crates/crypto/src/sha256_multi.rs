@@ -17,8 +17,10 @@
 //!   runtime via `is_x86_feature_detected!`; the same generic body compiled
 //!   with 256-bit registers enabled.
 //!
-//! Callers (the HMAC batch paths in [`crate::hmac`]) dispatch on a flag
-//! probed once at key setup, exactly like [`crate::aes::Aes128`]'s `use_hw`.
+//! Callers (the HMAC batch paths in [`crate::hmac`]) dispatch on a
+//! [`crate::hmac::Backend`] probed once at key setup, exactly like
+//! [`crate::aes::Aes128`]'s `use_hw`. Where the CPU has SHA-NI, that probe
+//! prefers one-message-at-a-time SHA-NI over either lane width.
 
 use crate::sha256::{ssig0, ssig1, K};
 
@@ -30,8 +32,8 @@ pub const LANES_WIDE: usize = 8;
 
 /// One compression round over `L` independent (state, block) pairs.
 ///
-/// Bit-exact to `L` calls of [`crate::sha256::Sha256::compress`]: the lanes
-/// never mix, only the instruction scheduling is shared. Marked
+/// Bit-exact to `L` calls of [`crate::sha256::Sha256::compress_portable`]:
+/// the lanes never mix, only the instruction scheduling is shared. Marked
 /// `#[inline(always)]` so the AVX2 wrapper below inlines it and compiles the
 /// body with 256-bit vectors enabled.
 #[inline(always)]
@@ -157,7 +159,7 @@ pub(crate) mod avx2 {
     }
 
     /// Eight compressions in lock-step, bit-exact to eight scalar
-    /// [`crate::sha256::Sha256::compress`] calls.
+    /// [`crate::sha256::Sha256::compress_portable`] calls.
     ///
     /// # Safety
     /// The `avx2` target feature must be available (runtime-detected by the
@@ -263,7 +265,7 @@ mod tests {
             }
             let mut expect = states;
             for l in 0..L {
-                Sha256::compress(&mut expect[l], &blocks[l]);
+                Sha256::compress_portable(&mut expect[l], &blocks[l]);
             }
             compress_lanes(&mut states, &blocks);
             assert_eq!(states, expect, "L={L}");
@@ -279,6 +281,7 @@ mod tests {
     #[test]
     fn avx2_compress_matches_portable() {
         if !wide_lanes_available() {
+            println!("skipped: host lacks avx2");
             return;
         }
         let blocks: [[u8; 64]; 8] =
