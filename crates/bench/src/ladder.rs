@@ -19,14 +19,15 @@
 //!
 //! Determinism: the artifact depends only on the rung list, worker list,
 //! shard count, and tolerance. The OS worker count used to *execute*
-//! the recovery affects wall clock (printed, never exported) — per-shard
-//! reports are worker-count-invariant by the lane contract, so the JSON is
-//! byte-identical across `STEINS_THREADS` settings and host core counts.
+//! the recovery affects wall clock (printed, never exported) — each shard
+//! recovers serially off its own image, so per-shard reports do not depend
+//! on the worker count and the JSON is byte-identical across
+//! `STEINS_THREADS` settings and host core counts.
 //!
-//! The scaling gate: every rung × workers cell must reach
-//! `min(workers, shards) × (1 − STEINS_RECOVERY_SCALE_TOL)` speedup over
-//! the same rung's 1-worker fold (default tolerance 0.375, so 4 workers
-//! must clear 2.5×).
+//! The scaling gate ([`floor_failure`]): every rung × workers cell must
+//! reach `min(workers, shards) × (1 − STEINS_RECOVERY_SCALE_TOL)` speedup
+//! over the same rung's 1-worker fold (default tolerance 0.375, so 4
+//! workers must clear 2.5×).
 //!
 //! Knobs: `STEINS_LADDER_MB` (comma list, default `256,1024,4096`),
 //! `STEINS_LADDER_WORKERS` (default `1,2,4,8`), `STEINS_LADDER_SHARDS`
@@ -168,6 +169,29 @@ fn dirty_all_shards(engine: &ShardedEngine) {
     }
 }
 
+/// The scaling gate for one cell: the failure message when `costs` (one
+/// read bill per region) folded onto `workers` lanes misses its floor of
+/// `min(workers, shards) × (1 − tol)` speedup over the 1-worker fold,
+/// `None` when the cell passes.
+pub fn floor_failure(
+    mb: u64,
+    costs: &[u64],
+    workers: usize,
+    shards: usize,
+    tol: f64,
+) -> Option<String> {
+    let speedup = speedup(costs, workers);
+    let floor = workers.min(shards) as f64 * (1.0 - tol);
+    (speedup + 1e-9 < floor)
+        .then(|| format!("{mb} MB x {workers} workers: speedup {speedup:.2} < floor {floor:.2}"))
+}
+
+/// Speedup of the `workers`-lane fold of `costs` over the 1-lane fold.
+fn speedup(costs: &[u64], workers: usize) -> f64 {
+    let serial = par::makespan(costs, 1).max(1);
+    serial as f64 / par::makespan(costs, workers).max(1) as f64
+}
+
 /// Runs the whole ladder, executing each rung's recovery once on
 /// `exec_workers` OS threads and modeling the worker axis from its
 /// per-region read counts. The artifact never depends on `exec_workers`.
@@ -187,8 +211,9 @@ pub fn run_ladder(lc: &LadderConfig, exec_workers: usize) -> LadderReport {
             .recover_all(images, exec_workers)
             .expect("ladder recovery is attack-free");
         // The exported registry is rebuilt from the per-shard reports (which
-        // are worker-count-invariant) — `pr.metrics` itself folds lanes by
-        // the *execution* worker count, which must never leak into results.
+        // do not depend on the worker count) — `pr.metrics` itself folds
+        // lanes by the *execution* worker count, which must never leak into
+        // results.
         metrics = MetricRegistry::new();
         for (s, r) in pr.reports.iter().enumerate() {
             metrics.fold_shard(&format!("shard.{s:02}"), &r.metrics);
@@ -198,19 +223,11 @@ pub fn run_ladder(lc: &LadderConfig, exec_workers: usize) -> LadderReport {
 
         let costs: Vec<u64> = pr.reports.iter().map(|r| r.nvm_reads).collect();
         let total_reads: u64 = costs.iter().sum();
-        let serial = par::makespan(&costs, 1).max(1);
         let gb = mb as f64 / 1024.0;
         for &w in &lc.workers {
             let makespan = par::makespan(&costs, w).max(1);
             let est_seconds = makespan as f64 * read_ns * 1e-9;
-            let speedup = serial as f64 / makespan as f64;
-            let ideal = w.min(lc.shards) as f64;
-            let floor = ideal * (1.0 - lc.tol);
-            if speedup + 1e-9 < floor {
-                failures.push(format!(
-                    "{mb} MB x {w} workers: speedup {speedup:.2} < floor {floor:.2}"
-                ));
-            }
+            failures.extend(floor_failure(mb, &costs, w, lc.shards, lc.tol));
             rungs.push(Rung {
                 mb,
                 workers: w,
@@ -218,7 +235,7 @@ pub fn run_ladder(lc: &LadderConfig, exec_workers: usize) -> LadderReport {
                 makespan_reads: makespan,
                 est_seconds,
                 sec_per_gb: est_seconds / gb,
-                speedup,
+                speedup: speedup(&costs, w),
             });
         }
     }
@@ -339,6 +356,23 @@ mod tests {
             .unwrap();
         assert!(cell.speedup >= 1.25, "2-worker speedup {}", cell.speedup);
         assert!(cell.est_seconds > 0.0 && cell.sec_per_gb > 0.0);
+    }
+
+    /// Tripping mutant for the scaling gate: a forced-serial recovery, where
+    /// one region carries every read, folds to the serial makespan at every
+    /// worker count and must fail each multi-worker floor.
+    #[test]
+    fn forced_serial_fold_trips_the_floor() {
+        let lc = tiny();
+        let serial = [4096u64, 0];
+        assert_eq!(floor_failure(1, &serial, 1, lc.shards, lc.tol), None);
+        let msg = floor_failure(1, &serial, 2, lc.shards, lc.tol).expect("serial fold must trip");
+        assert!(msg.contains("speedup 1.00 < floor 1.25"), "{msg}");
+        for w in [4usize, 8] {
+            assert!(floor_failure(1, &[4096, 0, 0, 0, 0, 0, 0, 0], w, 8, lc.tol).is_some());
+        }
+        // The same bill spread evenly over the regions clears every floor.
+        assert_eq!(floor_failure(1, &[2048, 2048], 2, lc.shards, lc.tol), None);
     }
 
     /// The BENCH_recovery.json artifact must not depend on how many OS

@@ -73,9 +73,6 @@ pub struct CrashedSystem {
     pub(crate) truth: FxHashMap<u64, [u8; 64]>,
     /// Lines whose latest stores were lost in the CPU caches.
     pub(crate) lost_lines: Vec<u64>,
-    /// Recovery lane-count override for this image (None: the
-    /// `STEINS_RECOVERY_WORKERS` env default). See [`crate::par`].
-    pub(crate) recovery_lanes: Option<usize>,
 }
 
 impl SecureNvmSystem {
@@ -128,7 +125,6 @@ impl SecureNvmSystem {
             nv,
             truth,
             lost_lines,
-            recovery_lanes: None,
         }
     }
 }
@@ -139,15 +135,17 @@ impl CrashedSystem {
         &self.cfg
     }
 
-    /// Pins the recovery worker/lane count for this image, overriding the
-    /// `STEINS_RECOVERY_WORKERS` env default (clamped to
-    /// `1..=`[`crate::par::MAX_WORKERS`] at use). Worker count never
-    /// changes what recovery computes — install order, exported metrics and
-    /// the terminal journal are lane-count-invariant — only how the
-    /// in-progress journal partitions its per-lane high-water marks.
-    pub fn with_recovery_lanes(mut self, lanes: usize) -> Self {
-        self.recovery_lanes = Some(lanes);
-        self
+    /// A live system around this image's durable state — NVM device, root
+    /// registers, ground truth and the crashed machine's own crypto
+    /// engine — with fresh volatile state and the scheme's initial
+    /// registers. Every recoverer builds its rebuilt system here and then
+    /// installs the scheme state it reconstructed.
+    pub(crate) fn into_live(self) -> SecureNvmSystem {
+        let mut sys = SecureNvmSystem::with_engine(self.cfg, self.crypto);
+        sys.ctrl.nvm = self.nvm;
+        sys.ctrl.root = self.root;
+        sys.truth = self.truth;
+        sys
     }
 
     /// Whether the scheme can recover at all.
@@ -449,11 +447,6 @@ pub struct CrashSweep {
     /// Stop after this many distinct failing points (keeps a badly broken
     /// scheme from taking forever).
     pub max_failures: usize,
-    /// Lane-mark override for every recovery the nested probes run
-    /// (`None` = the `STEINS_RECOVERY_WORKERS` env default). With > 1 the
-    /// interrupted attempts leave multi-lane ADR journals, so the sweep
-    /// exercises resume from several region marks instead of one prefix.
-    pub recovery_lanes: Option<usize>,
 }
 
 /// Silences the panic hook for the intentional [`CrashTripped`] unwinds the
@@ -497,15 +490,7 @@ impl CrashSweep {
             selection,
             shrink_budget: 2_000,
             max_failures: 3,
-            recovery_lanes: None,
         }
-    }
-
-    /// Builder: run every nested probe's recoveries with `lanes` lane-mark
-    /// slots (see [`CrashedSystem::with_recovery_lanes`]).
-    pub fn with_recovery_lanes(mut self, lanes: usize) -> Self {
-        self.recovery_lanes = Some(lanes);
-        self
     }
 
     /// Convenience: sweep the standard stream on the small test config.
@@ -532,13 +517,6 @@ impl CrashSweep {
 
     fn engine(&self) -> ShardedEngine {
         ShardedEngine::new(self.cfg.clone(), self.shards)
-    }
-
-    fn laned(&self, crashed: CrashedSystem) -> CrashedSystem {
-        match self.recovery_lanes {
-            Some(lanes) => crashed.with_recovery_lanes(lanes),
-            None => crashed,
-        }
     }
 
     fn apply_op(engine: &ShardedEngine, op: SweepOp) -> Result<(), IntegrityError> {
@@ -1004,11 +982,7 @@ impl CrashSweep {
                 let geo = &crashed.layout.geometry;
                 let off = geo.offset_of(node);
                 let line = crashed.nvm.peek(crashed.layout.node_addr(off));
-                let n = if node.level == 0 && self.cfg.mode == CounterMode::Split {
-                    steins_metadata::SitNode::split_from_line(&line)
-                } else {
-                    steins_metadata::SitNode::general_from_line(&line)
-                };
+                let n = steins_metadata::SitNode::from_line(self.cfg.mode, node.level, &line);
                 let pc = match geo.parent_of(node) {
                     None => crashed.root.get(geo.root_slot(node)),
                     Some((pid, slot)) => {
@@ -1298,12 +1272,11 @@ impl CrashSweep {
         &self,
         job: NestedJob,
     ) -> Result<Option<(NestedRun, CrashCtx)>, PointFailure> {
-        let Some(TornCrash { crashed, ctx }) =
+        let Some(TornCrash { mut crashed, ctx }) =
             self.crash_torn(&self.ops, job.shard, job.outer, job.outer_mask)?
         else {
             return Ok(None);
         };
-        let mut crashed = self.laned(crashed);
         crashed.nvm.trace_pokes(true);
         crashed.nvm.arm_crash_torn(job.inner, job.inner_mask);
         let mut slot = None;
@@ -1335,7 +1308,7 @@ impl CrashSweep {
                 };
                 partial.ctrl.nvm.disarm_crash();
                 partial.ctrl.nvm.trace_pokes(false);
-                NestedRun::Crashed(Box::new(self.laned(partial.crash())))
+                NestedRun::Crashed(Box::new(partial.crash()))
             }
         };
         Ok(Some((run, ctx)))
@@ -1431,12 +1404,11 @@ impl CrashSweep {
                 // Strict recovery refused before the inner point tripped:
                 // the scrub is what runs next, with the inner crash armed
                 // against its own rewrites.
-                let Some(TornCrash { crashed, ctx }) =
+                let Some(TornCrash { mut crashed, ctx }) =
                     self.crash_torn(&self.ops, job.shard, job.outer, job.outer_mask)?
                 else {
                     return Err(outer.fail("outer crash not reproducible for the scrub", "n/a"));
                 };
-                let mut crashed = self.laned(crashed);
                 crashed.nvm.trace_pokes(true);
                 crashed.nvm.arm_crash_torn(job.inner, job.inner_mask);
                 let mut slot = None;
@@ -1466,7 +1438,7 @@ impl CrashSweep {
                         };
                         partial.ctrl.nvm.disarm_crash();
                         partial.ctrl.nvm.trace_pokes(false);
-                        let crashed3 = self.laned(partial.crash());
+                        let crashed3 = partial.crash();
                         // The interrupted scrub must be journaled: strict
                         // recovery is no longer sound on this image. A trip
                         // on the scrub's final write legitimately reads
@@ -1585,7 +1557,7 @@ impl CrashSweep {
     /// target's region trips mid-rebuild and is caught in its region job;
     /// every other region must finish without a restart. The target is
     /// then crashed again and strictly re-recovered; its ADR journal (now
-    /// carrying per-lane marks) must report `core.recovery.restarts ≥ 1`
+    /// carrying the interrupted attempt's mark) must report `core.recovery.restarts ≥ 1`
     /// unless the inner crash landed after `DONE`. Finally the whole space
     /// verifies, neighbours co-recovered, before and after the rest of the
     /// stream runs.
@@ -1651,8 +1623,7 @@ impl CrashSweep {
                 .lock()
                 .unwrap()
                 .take()
-                .expect("each region runs exactly once")
-                .with_recovery_lanes(workers);
+                .expect("each region runs exactly once");
             let mut slot = None;
             match catch_unwind(AssertUnwindSafe(|| img.recover_into(&mut slot))) {
                 Ok(Ok(report)) => {
@@ -1722,7 +1693,7 @@ impl CrashSweep {
                 Ok(report2) if restarts(&report2) == 0 && !finished => {
                     return Err(ctx.fail(
                         format!("second recovery after worker crash at {j} reported no restart"),
-                        "the worker's lane marks must survive in the shard's ADR journal",
+                        "the worker's progress mark must survive in the shard's ADR journal",
                     ));
                 }
                 Ok(_) => {}
@@ -2000,19 +1971,6 @@ mod tests {
     #[test]
     fn wb_nested_points_keep_refusing_recovery() {
         nested_sweep(SchemeKind::WriteBack);
-    }
-
-    /// The nested contract must survive laned journals: with 4 lane-mark
-    /// slots every interrupted attempt leaves per-lane marks in the ADR
-    /// journal, and the second recovery resumes from the mark union.
-    #[test]
-    fn nested_points_recover_with_laned_journals() {
-        for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
-            let sweep = single(scheme, 18, PointSelection::AtMost(4)).with_recovery_lanes(4);
-            let report = sweep.run_nested(&[0xFF, 0x0F], &[0xFF], PointSelection::AtMost(3));
-            assert!(report.tested_points > 0, "no nested points enumerated");
-            assert!(report.clean(), "{report}");
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::report::{LatencyStats, RunReport};
 use crate::scheme::{star, AsitState, SchemeState, StarState, SteinsState};
 use steins_cache::{CacheHierarchy, CpuModel, MemEvent};
 use steins_crypto::{data_mac_message, engine::make_engine, CryptoEngine, FxHashMap};
-use steins_metadata::counter::{CounterBlock, CounterMode, SplitIncrement};
+use steins_metadata::counter::{CounterBlock, SplitIncrement};
 use steins_metadata::records::record_coords;
 use steins_metadata::{MemoryLayout, MetadataCache, NodeId, RootNode, SitNode};
 use steins_nvm::{Cycle, EnergyCounters, EnergyModel, NvmDevice, WriteQueue};
@@ -128,19 +128,6 @@ impl SecureMemoryController {
         matches!(self.cfg.scheme, SchemeKind::Steins)
     }
 
-    /// Parses a metadata NVM line according to the node's level.
-    pub(crate) fn parse_node(&self, id: NodeId, line: &[u8; 64]) -> SitNode {
-        if id.level == 0 && self.cfg.mode == CounterMode::Split {
-            SitNode::split_from_line(line)
-        } else {
-            SitNode::general_from_line(line)
-        }
-    }
-
-    fn is_zero_node(node: &SitNode) -> bool {
-        node.hmac == 0 && node.to_line() == [0u8; 64]
-    }
-
     /// Computes the 64-bit MAC a node stores when flushed with parent
     /// counter `pc` (STAR packs the counter LSBs into the field).
     fn node_mac_field(&mut self, node: &SitNode, offset: u64, pc: u64) -> u64 {
@@ -163,7 +150,7 @@ impl SecureMemoryController {
         id: NodeId,
         pc: u64,
     ) -> Result<(), IntegrityError> {
-        if pc == 0 && Self::is_zero_node(node) {
+        if pc == 0 && node.is_zero() {
             return Ok(());
         }
         let offset = self.layout.geometry.offset_of(id);
@@ -235,7 +222,7 @@ impl SecureMemoryController {
             pc
         };
         let (line, t) = self.nvm.read(t, self.layout.node_addr(offset));
-        let node = self.parse_node(id, &line);
+        let node = SitNode::from_line(self.cfg.mode, id.level, &line);
         let t = t + self.cfg.hash_latency;
         self.verify_node(&node, id, pc)?;
         self.install_node(t, id, node, false)
@@ -1147,7 +1134,11 @@ impl SecureMemoryController {
                 continue;
             }
             let id = geo.node_at_offset(offset);
-            let stale = self.parse_node(id, &self.nvm.peek(self.layout.node_addr(offset)));
+            let stale = SitNode::from_line(
+                self.cfg.mode,
+                id.level,
+                &self.nvm.peek(self.layout.node_addr(offset)),
+            );
             expect[id.level] += node.counters.parent_value() - stale.counters.parent_value();
         }
         // Parked entries: the child's NVM copy already carries the new
@@ -1157,8 +1148,9 @@ impl SecureMemoryController {
         for e in st.nv_buffer.entries() {
             let cid = geo.node_at_offset(e.child_offset);
             let (pid, slot) = geo.parent_of(cid).expect("buffered parents are non-root");
-            let stale_parent = self.parse_node(
-                pid,
+            let stale_parent = SitNode::from_line(
+                self.cfg.mode,
+                pid.level,
                 &self.nvm.peek(self.layout.node_addr(geo.offset_of(pid))),
             );
             let p_old = if self.meta.is_dirty(geo.offset_of(pid)) {

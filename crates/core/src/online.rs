@@ -14,11 +14,9 @@
 //!   the throttle bounds — and driving the device's bounded
 //!   exponential-backoff retry schedule, which heals short transient
 //!   faults), then the data MAC against the line's
-//!   [`MacRecord`]. The cursor is stamped into the
-//!   ADR recovery journal's per-lane marks (phase
-//!   [`journal::ONLINE`], laid out by
-//!   [`par::lane_spans`] exactly like parallel recovery's regions), so a
-//!   crash mid-pass resumes the pass instead of rescanning from zero.
+//!   [`MacRecord`]. The cursor is stamped into the ADR recovery
+//!   journal's `hwm` (phase [`journal::ONLINE`]), so a crash mid-pass
+//!   resumes the pass instead of rescanning from zero.
 //! * **Throttle negotiation** — a scrub step first consults the live
 //!   write-queue occupancy; above `throttle_occupancy` the step yields to
 //!   serving traffic (alarm draining still runs — detections are never
@@ -45,13 +43,12 @@
 use std::collections::BTreeSet;
 
 use steins_metadata::CounterMode;
-use steins_nvm::{RecoveryJournal, RECOVERY_LANES};
+use steins_nvm::RecoveryJournal;
 use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 
 use crate::cme::MacRecord;
 use crate::config::LeafRecovery;
 use crate::engine::SecureNvmSystem;
-use crate::par;
 use crate::recovery::journal;
 
 /// Runtime policy knobs of the online integrity service (Triad-NVM-style:
@@ -173,7 +170,7 @@ impl OnlineService {
     }
 
     /// Repositions the scrub cursor — used to resume an interrupted pass
-    /// from a crashed image's [`journal::ONLINE`] marks (see
+    /// from a crashed image's [`journal::ONLINE`] journal (see
     /// [`Self::resume_cursor`]).
     pub fn set_cursor(&mut self, cursor: u64) {
         self.cursor = cursor;
@@ -251,31 +248,10 @@ impl OnlineService {
     }
 
     /// The cursor a crashed image's journal proves the interrupted pass
-    /// had reached, when the journal is in the [`journal::ONLINE`] phase
-    /// (per-lane marks over `lines` data lines, [`par::lane_spans`]
-    /// layout — the same cross-lane-count compatibility contract
-    /// parallel recovery uses).
+    /// had reached over `lines` data lines, when the journal is in the
+    /// [`journal::ONLINE`] phase.
     pub fn resume_cursor(j: &RecoveryJournal, lines: u64) -> Option<u64> {
-        if j.phase != journal::ONLINE {
-            return None;
-        }
-        let covered: u64 = par::lane_spans(lines as usize, j.lanes as usize)
-            .iter()
-            .zip(j.marks.iter())
-            .map(|(&(s, e), &m)| m.min((e - s) as u64))
-            .sum();
-        Some(covered % lines.max(1))
-    }
-
-    fn marks_for(cursor: u64, lines: u64) -> [u64; RECOVERY_LANES] {
-        let mut marks = [0u64; RECOVERY_LANES];
-        for (l, (s, e)) in par::lane_spans(lines as usize, RECOVERY_LANES)
-            .into_iter()
-            .enumerate()
-        {
-            marks[l] = (cursor as usize).clamp(s, e).saturating_sub(s) as u64;
-        }
-        marks
+        (j.phase == journal::ONLINE).then(|| j.hwm.min(lines) % lines.max(1))
     }
 
     fn raise(&mut self, kind: AlarmKind, shard: u16, addr: Option<u64>, cycle: u64) {
@@ -452,7 +428,7 @@ impl OnlineService {
 
     /// One scrub step: drain promotions, negotiate the throttle against
     /// live write-queue occupancy, verify the next batch of lines, stamp
-    /// the cursor into the journal's per-lane marks.
+    /// the cursor into the journal's `hwm`.
     pub(crate) fn step(&mut self, sys: &mut SecureNvmSystem) {
         self.steps += 1;
         self.ops_since_step = 0;
@@ -481,13 +457,12 @@ impl OnlineService {
             }
         }
         // Stamp the cursor (a cheap ADR persist): a crash between steps
-        // resumes the pass from these marks instead of line zero.
-        sys.ctrl.journal_write(RecoveryJournal::laned(
-            journal::ONLINE,
-            self.passes.min(u64::from(u32::MAX)) as u32,
-            RECOVERY_LANES as u8,
-            Self::marks_for(self.cursor, lines),
-        ));
+        // resumes the pass from it instead of line zero.
+        sys.ctrl.journal_write(RecoveryJournal {
+            phase: journal::ONLINE,
+            restarts: self.passes.min(u64::from(u32::MAX)) as u32,
+            hwm: self.cursor,
+        });
     }
 
     /// One full drain pass over every data line, ignoring the period and
@@ -565,13 +540,13 @@ mod tests {
         assert!(svc.verified >= 64, "verified {}", svc.verified);
         assert!(svc.alarms().is_empty());
         assert_eq!(svc.quarantined().count(), 0);
-        // The journal carries the online phase with resumable marks.
+        // The journal carries the online phase with a resumable cursor.
         let j = s.ctrl.nvm.recovery_journal();
         assert_eq!(j.phase, journal::ONLINE);
         assert_eq!(
             OnlineService::resume_cursor(&j, lines),
             Some(svc.cursor()),
-            "marks must round-trip the cursor"
+            "hwm must round-trip the cursor"
         );
     }
 

@@ -1,71 +1,30 @@
 //! Work-stealing execution and deterministic lane folding for parallel
-//! recovery.
+//! recovery across shards.
 //!
 //! Recovery parallelism in this codebase has two halves with different
 //! determinism requirements:
 //!
-//! * **Execution** — independent regions (one crashed shard each, or one
-//!   scrub leaf range) really do run on OS threads. [`StealQueue`] is a
-//!   chunked work queue in the chase-lev mold: every worker owns a
-//!   contiguous interval of the job index space packed into one
-//!   `AtomicU64`, pops its own front with a single CAS, and when drained
-//!   steals the *back half* of a victim's remaining interval with another
-//!   single CAS. No locks, no ABA (intervals only ever shrink or move
-//!   wholesale, and a drained interval is never re-grown by anyone but its
-//!   owner installing a fresh steal).
+//! * **Execution** — independent regions (one crashed shard each) really
+//!   do run on OS threads; inside a shard, recovery is one serial rebuild.
+//!   [`StealQueue`] is a chunked work queue in the chase-lev mold: every
+//!   worker owns a contiguous interval of the job index space packed into
+//!   one `AtomicU64`, pops its own front with a single CAS, and when
+//!   drained steals the *back half* of a victim's remaining interval with
+//!   another single CAS. No locks, no ABA (intervals only ever shrink or
+//!   move wholesale, and a drained interval is never re-grown by anyone
+//!   but its owner installing a fresh steal).
 //! * **Reporting** — every exported number must be byte-identical no matter
 //!   how many threads the host actually ran. [`fold_lanes`] therefore
 //!   *models* the parallel schedule: per-region costs are assigned to
 //!   `lanes` modeled workers longest-processing-time-first (the balance an
 //!   idle-stealing scheduler converges to), and the makespan is the max
 //!   lane. Real thread count affects wall clock only.
-//!
-//! The env knob `STEINS_RECOVERY_WORKERS` selects the worker count
-//! ([`recovery_workers`]); it is capped at
-//! [`steins_nvm::RECOVERY_LANES`] because each in-flight region journals
-//! its progress in its own per-lane mark slot of the ADR
-//! [`steins_nvm::RecoveryJournal`] (see `crate::recovery`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Hard cap on recovery workers — one journal mark slot per lane.
-pub const MAX_WORKERS: usize = steins_nvm::RECOVERY_LANES;
-
-/// Worker count for parallel recovery: `STEINS_RECOVERY_WORKERS`, default
-/// 1, clamped to `1..=`[`MAX_WORKERS`].
-pub fn recovery_workers() -> usize {
-    std::env::var("STEINS_RECOVERY_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .clamp(1, MAX_WORKERS)
-}
-
-/// Splits `n` items into at most `lanes` contiguous spans of
-/// `ceil(n / lanes)` items (the last span may be short; trailing spans may
-/// be empty and are omitted). Span `l` covers canonical indices
-/// `[l * chunk, min((l + 1) * chunk, n))`.
-pub fn lane_spans(n: usize, lanes: usize) -> Vec<(usize, usize)> {
-    let lanes = lanes.clamp(1, MAX_WORKERS);
-    if n == 0 {
-        return vec![(0, 0)];
-    }
-    let chunk = n.div_ceil(lanes);
-    (0..lanes)
-        .map(|l| ((l * chunk).min(n), ((l + 1) * chunk).min(n)))
-        .filter(|(s, e)| e > s)
-        .collect()
-}
-
-/// The lane whose span ([`lane_spans`]) contains canonical index `i`.
-pub fn lane_of(n: usize, lanes: usize, i: usize) -> usize {
-    let lanes = lanes.clamp(1, MAX_WORKERS);
-    if n == 0 {
-        return 0;
-    }
-    i / n.div_ceil(lanes)
-}
+/// Hard cap on recovery worker threads.
+pub const MAX_WORKERS: usize = 8;
 
 /// Deterministic longest-processing-time-first fold of per-region costs
 /// onto `lanes` modeled workers: regions sorted by descending cost (index
@@ -103,8 +62,8 @@ fn unpack(word: u64) -> (u32, u32) {
 
 /// Chunked work-stealing queue over the job index space `0..jobs`.
 ///
-/// Construction deals each worker a contiguous interval (round-robin over
-/// [`lane_spans`]-style chunks). `next(w)` pops worker `w`'s own front;
+/// Construction deals each worker a contiguous interval of
+/// `ceil(jobs / workers)` indices. `next(w)` pops worker `w`'s own front;
 /// once drained, `w` scans the other lanes and steals the back half of the
 /// largest-remaining victim interval. Both operations are single-word CAS.
 pub struct StealQueue {
@@ -270,27 +229,6 @@ mod tests {
     use std::collections::HashSet;
 
     #[test]
-    fn lane_spans_partition_exactly() {
-        for n in [0usize, 1, 7, 8, 9, 64, 1000] {
-            for lanes in 1..=MAX_WORKERS {
-                let spans = lane_spans(n, lanes);
-                let mut covered = 0;
-                for (i, (s, e)) in spans.iter().enumerate() {
-                    assert!(e >= s);
-                    assert_eq!(*s, covered, "spans contiguous (n={n} lanes={lanes})");
-                    covered = *e;
-                    if n > 0 {
-                        for x in *s..*e {
-                            assert_eq!(lane_of(n, lanes, x), i);
-                        }
-                    }
-                }
-                assert_eq!(covered, n, "spans cover 0..{n}");
-            }
-        }
-    }
-
-    #[test]
     fn fold_lanes_is_deterministic_and_balanced() {
         let costs = [100u64, 1, 1, 1, 97, 3, 50, 49];
         assert_eq!(fold_lanes(&costs, 1), vec![302]);
@@ -363,12 +301,5 @@ mod tests {
             })
         });
         assert!(r.is_err(), "a tripped region must unwind the pool");
-    }
-
-    #[test]
-    fn env_worker_count_clamped() {
-        // No env set in tests: default is 1.
-        assert!(recovery_workers() >= 1);
-        assert!(recovery_workers() <= MAX_WORKERS);
     }
 }

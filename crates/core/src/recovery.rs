@@ -15,7 +15,6 @@ use crate::engine::SecureNvmSystem;
 use crate::error::IntegrityError;
 use crate::linc::LincBank;
 use crate::nvbuffer::NvBuffer;
-use crate::par;
 use crate::scheme::{star, AsitState, SchemeState, SteinsState};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use steins_crypto::CryptoEngine;
@@ -60,12 +59,12 @@ pub mod journal {
     /// The last recovery or scrub ran to completion.
     pub const DONE: u8 = 6;
     /// The online integrity service's incremental background scrub
-    /// (`crate::online`) is stamping its pass cursor into the per-lane
-    /// marks. The online pass is peek-only and idempotent — it rewrites
-    /// none of the structures strict recovery trusts — so this phase is
-    /// *terminal* (not in-progress): a crash mid-pass recovers strictly,
-    /// and the marks let the restarted service resume its cursor instead
-    /// of rescanning from line zero.
+    /// (`crate::online`) is stamping its pass cursor into `hwm`. The
+    /// online pass is peek-only and idempotent — it rewrites none of the
+    /// structures strict recovery trusts — so this phase is *terminal*
+    /// (not in-progress): a crash mid-pass recovers strictly, and the
+    /// cursor lets the restarted service resume instead of rescanning
+    /// from line zero.
     pub const ONLINE: u8 = 7;
 
     /// Human-readable phase name.
@@ -87,30 +86,6 @@ pub mod journal {
     pub fn in_progress(phase: u8) -> bool {
         !matches!(phase, IDLE | DONE | ONLINE)
     }
-}
-
-/// The set of canonical item indices an interrupted rebuild's journal
-/// proves durably completed, as a mask over `0..n`.
-///
-/// The journal covers, for each lane `l`, the first `marks[l]` items of
-/// lane `l`'s contiguous region ([`par::lane_spans`] over the *prior*
-/// attempt's lane count — the current attempt may run with a different
-/// worker count and still reads the old partition correctly, which is the
-/// whole cross-lane-count compatibility contract). A one-lane journal
-/// covers a canonical prefix.
-fn journal_cover(prior: &RecoveryJournal, n: usize) -> Vec<bool> {
-    let mut cover = vec![false; n];
-    // Defensive clamp: every journal that reaches here has passed the MAC
-    // check, but the cover computation itself must stay in-bounds for any
-    // lane count the type can express.
-    let lanes = (prior.lanes as usize).min(steins_nvm::RECOVERY_LANES);
-    for (l, (s, e)) in par::lane_spans(n, lanes).into_iter().enumerate() {
-        let done = (prior.marks[l] as usize).min(e - s);
-        for c in cover.iter_mut().skip(s).take(done) {
-            *c = true;
-        }
-    }
-    cover
 }
 
 /// Seals a journal under the engine key: the 64-bit tag stored with the
@@ -135,25 +110,14 @@ pub(crate) fn journal_authentic(crypto: &dyn CryptoEngine, nvm: &NvmDevice) -> b
     nvm.journal_mac() == seal_journal(crypto, &j)
 }
 
-/// Journals rebuild-loop progress over `lanes` contiguous regions
-/// ([`par::lane_spans`]): `done` is the canonical index count completed so
-/// far out of `total`, and each region's mark is its share of that prefix.
-/// Phase openers and the terminal `DONE` entry are one-lane journals
-/// (`lanes = 1`, `total = done`), so they read the same whatever worker
-/// count wrote them.
-pub(crate) fn progress_journal(
-    phase: u8,
-    restarts: u32,
-    lanes: usize,
-    total: usize,
-    done: usize,
-) -> RecoveryJournal {
-    let lanes = lanes.clamp(1, steins_nvm::RECOVERY_LANES);
-    let mut marks = [0u64; steins_nvm::RECOVERY_LANES];
-    for (l, (s, e)) in par::lane_spans(total, lanes).into_iter().enumerate() {
-        marks[l] = (done.min(e) - s.min(done)) as u64;
+/// The journal entry a recovery phase writes after completing its first
+/// `done` items in canonical order.
+pub(crate) fn progress_journal(phase: u8, restarts: u32, done: usize) -> RecoveryJournal {
+    RecoveryJournal {
+        phase,
+        restarts,
+        hwm: done as u64,
     }
-    RecoveryJournal::laned(phase, restarts, lanes as u8, marks)
 }
 
 /// What a recovery run did and how long it would take on hardware.
@@ -225,19 +189,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parses a metadata line per its level/mode.
-fn parse_node(mode: CounterMode, id: NodeId, line: &[u8; 64]) -> SitNode {
-    if id.level == 0 && mode == CounterMode::Split {
-        SitNode::split_from_line(line)
-    } else {
-        SitNode::general_from_line(line)
-    }
-}
-
-fn is_zero_node(node: &SitNode) -> bool {
-    node.hmac == 0 && node.to_line() == [0u8; 64]
-}
-
 impl CrashedSystem {
     /// Recovers the machine: reconstructs and verifies every lost dirty
     /// metadata node, returning the live system and the recovery metrics.
@@ -284,20 +235,11 @@ impl CrashedSystem {
             0
         };
         let shard = self.nvm.shard();
-        // Lane count for this attempt's journal layout. The override (set by
-        // the harnesses and the sharded recoverer) wins over the
-        // `STEINS_RECOVERY_WORKERS` env default. Lane count shapes only the
-        // in-progress journal's mark partition — never the install order,
-        // the exported metrics, or the terminal journal.
-        let lanes = self
-            .recovery_lanes
-            .unwrap_or_else(par::recovery_workers)
-            .clamp(1, par::MAX_WORKERS);
         let mut report = match self.cfg.scheme {
             SchemeKind::WriteBack => unreachable!("handled above"),
-            SchemeKind::Steins => self.recover_steins(out, prior, restarts, lanes),
-            SchemeKind::Asit => self.recover_asit(out, prior, restarts, lanes),
-            SchemeKind::Star => self.recover_star(out, prior, restarts, lanes),
+            SchemeKind::Steins => self.recover_steins(out, prior, restarts),
+            SchemeKind::Asit => self.recover_asit(out, prior, restarts),
+            SchemeKind::Star => self.recover_star(out, prior, restarts),
         }?;
         // Which shard's journal line drove this attempt — the sharded
         // engine recovers each shard independently off its own line.
@@ -316,7 +258,7 @@ impl CrashedSystem {
     /// full-width; STAR masks to 48 bits). Zero nodes under zero counters
     /// are the lazily-initialized state.
     fn check_node(&self, node: &SitNode, id: NodeId, pc: u64) -> Result<(), IntegrityError> {
-        if pc == 0 && is_zero_node(node) {
+        if pc == 0 && node.is_zero() {
             return Ok(());
         }
         let off = self.layout.geometry.offset_of(id);
@@ -428,7 +370,6 @@ impl CrashedSystem {
         out: &mut Option<SecureNvmSystem>,
         prior: RecoveryJournal,
         restarts: u32,
-        lanes: usize,
     ) -> Result<RecoveryReport, IntegrityError> {
         let geo = self.layout.geometry.clone();
         let (mut lincs, nv_buffer) = match &self.nv {
@@ -493,9 +434,9 @@ impl CrashedSystem {
             };
             let poff = geo.offset_of(pid);
             reads += 1;
-            let sp = parse_node(
+            let sp = SitNode::from_line(
                 self.cfg.mode,
-                pid,
+                pid.level,
                 &self.nvm.peek(self.layout.node_addr(poff)),
             );
             let p_old = sp.counters.as_general().get(slot);
@@ -530,9 +471,9 @@ impl CrashedSystem {
             for &off in &by_level[k] {
                 let id = geo.node_at_offset(off);
                 reads += 1;
-                let stale = parse_node(
+                let stale = SitNode::from_line(
                     self.cfg.mode,
-                    id,
+                    id.level,
                     &self.nvm.peek(self.layout.node_addr(off)),
                 );
                 // Verify the stale copy against its (recovered) parent —
@@ -546,9 +487,9 @@ impl CrashedSystem {
                         Some(p) => *p,
                         None => {
                             reads += 1;
-                            parse_node(
+                            SitNode::from_line(
                                 self.cfg.mode,
-                                pid,
+                                pid.level,
                                 &self.nvm.peek(self.layout.node_addr(poff)),
                             )
                         }
@@ -564,9 +505,9 @@ impl CrashedSystem {
                     for (j, cid) in geo.children_of(id).into_iter().enumerate() {
                         let coff = geo.offset_of(cid);
                         reads += 1;
-                        let child = parse_node(
+                        let child = SitNode::from_line(
                             self.cfg.mode,
-                            cid,
+                            cid.level,
                             &self.nvm.peek(self.layout.node_addr(coff)),
                         );
                         let cval = child.counters.parent_value();
@@ -608,7 +549,7 @@ impl CrashedSystem {
             restarts,
         );
         let read_ns = self.cfg.recovery_read_ns;
-        self.rebuild_steins(out, recovered, lincs, pinned, restarts, lanes)?;
+        self.rebuild_steins(out, recovered, lincs, pinned, restarts)?;
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
             scheme: "Steins".into(),
@@ -643,7 +584,6 @@ impl CrashedSystem {
         lincs: LincBank,
         pinned: HashMap<u64, u64>,
         restarts: u32,
-        lanes: usize,
     ) -> Result<(), IntegrityError> {
         let cfg = self.cfg.clone();
         let geo = self.layout.geometry.clone();
@@ -651,10 +591,7 @@ impl CrashedSystem {
             NvState::Steins { lincs, nv_buffer } => (lincs.clone(), nv_buffer.clone()),
             _ => unreachable!("steins rebuild under steins scheme"),
         };
-        let mut sys = SecureNvmSystem::new(cfg.clone());
-        sys.ctrl.nvm = self.nvm;
-        sys.ctrl.root = self.root;
-        sys.truth = self.truth;
+        let mut sys = self.into_live();
         sys.ctrl.scheme = SchemeState::Steins(SteinsState {
             lincs: old_lincs,
             nv_buffer: old_buffer,
@@ -700,21 +637,13 @@ impl CrashedSystem {
         ordered.sort_by_key(|(_, slot)| slot.is_none());
         *out = Some(sys);
         let sys = out.as_mut().expect("just parked");
-        // The install loop below journals per-lane high-water marks: items
-        // partition into `lanes` contiguous regions, and completing item
-        // `i` bumps its region's mark slot. Installs are volatile in this
-        // phase (a re-run repeats the whole recovery), so the marks are a
-        // progress record, not a resume point — but they make every torn
-        // mid-rebuild journal a state the multi-lane resume logic accepts,
-        // whichever lane count the *next* attempt runs with.
+        // The install loop below journals its high-water mark after every
+        // item. Installs are volatile in this phase (a re-run repeats the
+        // whole recovery), so the mark is a progress record, not a resume
+        // point.
         let n = ordered.len();
-        sys.ctrl.journal_write(progress_journal(
-            journal::STEINS_REBUILD,
-            restarts,
-            lanes,
-            n,
-            0,
-        ));
+        sys.ctrl
+            .journal_write(progress_journal(journal::STEINS_REBUILD, restarts, 0));
         for (i, ((off, node), slot)) in ordered.into_iter().enumerate() {
             let id = geo.node_at_offset(off);
             match slot {
@@ -725,17 +654,12 @@ impl CrashedSystem {
                     sys.ctrl.install_node(0, id, node, true)?;
                 }
             }
-            sys.ctrl.journal_write(progress_journal(
-                journal::STEINS_REBUILD,
-                restarts,
-                lanes,
-                n,
-                i + 1,
-            ));
+            sys.ctrl
+                .journal_write(progress_journal(journal::STEINS_REBUILD, restarts, i + 1));
         }
         // Rewrite the record region to match the slot assignment.
         sys.ctrl
-            .journal_write(progress_journal(journal::STEINS_RECORDS, restarts, 1, 0, 0));
+            .journal_write(progress_journal(journal::STEINS_RECORDS, restarts, 0));
         let slots = cfg.meta_cache.slots();
         let rec_lines = slots.div_ceil(RECORDS_PER_LINE) as usize;
         let mut lines = vec![RecordLine::default(); rec_lines];
@@ -754,7 +678,7 @@ impl CrashedSystem {
             st.nv_buffer = NvBuffer::new(cfg.nv_buffer_bytes);
         }
         sys.ctrl
-            .journal_write(progress_journal(journal::DONE, restarts, 1, n, n));
+            .journal_write(progress_journal(journal::DONE, restarts, n));
         sys.ctrl.nvm.reset_stats();
         Ok(())
     }
@@ -766,7 +690,6 @@ impl CrashedSystem {
         out: &mut Option<SecureNvmSystem>,
         prior: RecoveryJournal,
         restarts: u32,
-        lanes: usize,
     ) -> Result<RecoveryReport, IntegrityError> {
         let (nv_root, shadow_tags, inflight) = match &self.nv {
             NvState::Asit {
@@ -855,7 +778,11 @@ impl CrashedSystem {
         for (slot, sl) in slot_lines.iter().enumerate() {
             if let Some((off, line)) = sl {
                 let id = geo.node_at_offset(*off);
-                entries.push((slot as u64, *off, parse_node(self.cfg.mode, id, line)));
+                entries.push((
+                    slot as u64,
+                    *off,
+                    SitNode::from_line(self.cfg.mode, id.level, line),
+                ));
             }
         }
         // Torn-write reconciliation: within one write op the shadow push
@@ -901,9 +828,7 @@ impl CrashedSystem {
             restarts,
         );
 
-        let cfg = self.cfg.clone();
-        let read_ns = cfg.recovery_read_ns;
-        let mut sys = SecureNvmSystem::new(cfg);
+        let read_ns = self.cfg.recovery_read_ns;
         // Seed the scheme state from the verified durable image instead of
         // starting empty: the tags, tree and root already describe what is
         // in NVM, so every boundary inside the replay below is a state this
@@ -911,15 +836,13 @@ impl CrashedSystem {
         let seeded = CacheTree::from_leaves(self.crypto.as_ref(), &leaf_macs);
         debug_assert_eq!(seeded.root(), seed_root, "seed tree must match root");
         let tags: HashMap<u64, u64> = entries.iter().map(|(s, off, _)| (*s, *off)).collect();
+        let mut sys = self.into_live();
         sys.ctrl.scheme = SchemeState::Asit(AsitState {
             cache_tree: seeded,
             nv_root: seed_root,
             shadow_tags: tags,
             inflight: seed_inflight,
         });
-        sys.ctrl.nvm = self.nvm;
-        sys.ctrl.root = self.root;
-        sys.truth = self.truth;
         *out = Some(sys);
         let sys = out.as_mut().expect("just parked");
         // Install every shadow copy as dirty (home copies may be stale) in
@@ -927,36 +850,25 @@ impl CrashedSystem {
         // table and cache-tree converge on the reconciled content. Each
         // update is the normal runtime sequence (stage pre-image → update
         // registers → push shadow line), so a crash at any point inside it
-        // is recoverable like a runtime crash. The journal tracks progress
-        // in per-lane mark slots (lane = the item's contiguous region);
-        // every boundary is runtime-consistent, so the marks are a progress
-        // record for diagnostics, not a resume point.
+        // is recoverable like a runtime crash. The journal's high-water mark
+        // tracks progress; every boundary is runtime-consistent, so the
+        // mark is a progress record for diagnostics, not a resume point.
         let mut items = entries;
         items.sort_by_key(|(_, off, _)| {
             let id = geo.node_at_offset(*off);
             (std::cmp::Reverse(id.level), id.index)
         });
         let n = items.len();
-        sys.ctrl.journal_write(progress_journal(
-            journal::ASIT_REPLAY,
-            restarts,
-            lanes,
-            n,
-            0,
-        ));
+        sys.ctrl
+            .journal_write(progress_journal(journal::ASIT_REPLAY, restarts, 0));
         for (i, (slot, off, node)) in items.into_iter().enumerate() {
             sys.ctrl.meta.install_at(slot, off, node, true);
             sys.ctrl.asit_slot_update(0, off);
-            sys.ctrl.journal_write(progress_journal(
-                journal::ASIT_REPLAY,
-                restarts,
-                lanes,
-                n,
-                i + 1,
-            ));
+            sys.ctrl
+                .journal_write(progress_journal(journal::ASIT_REPLAY, restarts, i + 1));
         }
         sys.ctrl
-            .journal_write(progress_journal(journal::DONE, restarts, 1, n, n));
+            .journal_write(progress_journal(journal::DONE, restarts, n));
         sys.ctrl.nvm.reset_stats();
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
@@ -976,7 +888,6 @@ impl CrashedSystem {
         out: &mut Option<SecureNvmSystem>,
         prior: RecoveryJournal,
         restarts: u32,
-        lanes: usize,
     ) -> Result<RecoveryReport, IntegrityError> {
         let nv_root = match &self.nv {
             NvState::Star { nv_root } => *nv_root,
@@ -1019,9 +930,9 @@ impl CrashedSystem {
             for &off in &by_level[k] {
                 let id = geo.node_at_offset(off);
                 reads += 1;
-                let stale = parse_node(
+                let stale = SitNode::from_line(
                     self.cfg.mode,
-                    id,
+                    id.level,
                     &self.nvm.peek(self.layout.node_addr(off)),
                 );
                 let rec = if k >= 1 {
@@ -1029,12 +940,12 @@ impl CrashedSystem {
                     for (j, cid) in geo.children_of(id).into_iter().enumerate() {
                         let coff = geo.offset_of(cid);
                         reads += 1;
-                        let child = parse_node(
+                        let child = SitNode::from_line(
                             self.cfg.mode,
-                            cid,
+                            cid.level,
                             &self.nvm.peek(self.layout.node_addr(coff)),
                         );
-                        if is_zero_node(&child) {
+                        if child.is_zero() {
                             continue;
                         }
                         let (_, lsbs) = star::unpack_hmac(child.hmac);
@@ -1066,16 +977,13 @@ impl CrashedSystem {
         // 3. Verify the cache-tree register (per-set sorted MACs, exactly as
         //    maintained at runtime). A completed run's register covers every
         //    recovered node; an *interrupted rebuild's* register covers
-        //    exactly the items its journal marks record — the journal write
-        //    is the only persist boundary in the rebuild loop and always
-        //    follows the register update for the same item. The journal
-        //    proves the union of each lane-region's completed prefix
-        //    ([`journal_cover`]) — the prior attempt's lane count decides
-        //    the partition, whatever this attempt runs with.
-        let cover = if prior.phase == journal::STAR_REBUILD {
-            journal_cover(&prior, items.len())
+        //    exactly the canonical prefix its journal's `hwm` records — the
+        //    journal write is the only persist boundary in the rebuild loop
+        //    and always follows the register update for the same item.
+        let covered = if prior.phase == journal::STAR_REBUILD {
+            prior.hwm.min(items.len() as u64) as usize
         } else {
-            vec![true; items.len()]
+            items.len()
         };
         let sets = self.cfg.meta_cache.sets();
         let mut leaf_macs = vec![0u64; sets as usize];
@@ -1085,11 +993,10 @@ impl CrashedSystem {
         let mut occupied_sets: Vec<u64> = Vec::new();
         let mut set_msgs: Vec<Vec<u8>> = Vec::new();
         for set in 0..sets {
-            let mut in_set: Vec<(u64, &SitNode)> = items
+            let mut in_set: Vec<(u64, &SitNode)> = items[..covered]
                 .iter()
-                .zip(&cover)
-                .filter(|((off, _), c)| **c && *off % sets == set)
-                .map(|((off, n), _)| (*off, n))
+                .filter(|(off, _)| *off % sets == set)
+                .map(|(off, n)| (*off, n))
                 .collect();
             if in_set.is_empty() {
                 continue;
@@ -1134,27 +1041,17 @@ impl CrashedSystem {
             prior,
             restarts,
         );
-        let cfg = self.cfg.clone();
-        let read_ns = cfg.recovery_read_ns;
-        let mut sys = SecureNvmSystem::new(cfg);
-        sys.ctrl.nvm = self.nvm;
-        sys.ctrl.root = self.root;
-        sys.truth = self.truth;
-        *out = Some(sys);
+        let read_ns = self.cfg.recovery_read_ns;
+        *out = Some(self.into_live());
         let sys = out.as_mut().expect("just parked");
         let n = items.len();
-        sys.ctrl.journal_write(progress_journal(
-            journal::STAR_REBUILD,
-            restarts,
-            lanes,
-            n,
-            0,
-        ));
+        sys.ctrl
+            .journal_write(progress_journal(journal::STAR_REBUILD, restarts, 0));
         // Reinstall in canonical order, refreshing the register after every
         // item: the durable bitmap, node lines and data plane are untouched,
         // so a crash here re-derives the same `recovered` set, and the
-        // cover rule above re-verifies the partially-regrown register off
-        // the journal marks. Every dirty set was fully resident at crash
+        // prefix rule above re-verifies the partially-regrown register off
+        // the journal's `hwm`. Every dirty set was fully resident at crash
         // time, so no install can overflow its set (no evictions, no
         // durable node writes).
         for (i, (off, node)) in items.into_iter().enumerate() {
@@ -1162,16 +1059,11 @@ impl CrashedSystem {
             sys.ctrl.install_node(0, id, node, true)?;
             let set = sys.ctrl.meta.set_index(off);
             sys.ctrl.star_tree_update(0, set);
-            sys.ctrl.journal_write(progress_journal(
-                journal::STAR_REBUILD,
-                restarts,
-                lanes,
-                n,
-                i + 1,
-            ));
+            sys.ctrl
+                .journal_write(progress_journal(journal::STAR_REBUILD, restarts, i + 1));
         }
         sys.ctrl
-            .journal_write(progress_journal(journal::DONE, restarts, 1, n, n));
+            .journal_write(progress_journal(journal::DONE, restarts, n));
         sys.ctrl.nvm.reset_stats();
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
@@ -1339,81 +1231,62 @@ mod tests {
         assert_eq!(again.read(0).unwrap(), [128u8; 64]);
     }
 
-    #[test]
-    fn journal_cover_laned_is_a_union_of_region_prefixes() {
-        // 10 items, 4 lanes → regions of 3: [0,3) [3,6) [6,9) [9,10).
-        let mut marks = [0u64; steins_nvm::RECOVERY_LANES];
-        marks[0] = 3; // region 0 complete
-        marks[1] = 1; // region 1: first item only
-        marks[3] = 1; // region 3 complete (out-of-order vs region 2 — a
-                      // state only true parallel interleaving reaches)
-        let j = RecoveryJournal::laned(journal::STAR_REBUILD, 0, 4, marks);
-        let cover = journal_cover(&j, 10);
-        let want = [
-            true, true, true, // region 0
-            true, false, false, // region 1 prefix
-            false, false, false, // region 2 untouched
-            true,  // region 3
-        ];
-        assert_eq!(cover, want);
+    /// Counts every call that reaches the wrapped engine.
+    struct Counting {
+        inner: Box<dyn CryptoEngine>,
+        calls: std::sync::Arc<std::sync::atomic::AtomicU64>,
     }
 
-    #[test]
-    fn progress_journal_layouts_agree_on_totals() {
-        // One lane: the whole count sits in the first mark.
-        let mut marks = [0u64; steins_nvm::RECOVERY_LANES];
-        marks[0] = 7;
-        assert_eq!(
-            progress_journal(journal::STEINS_REBUILD, 2, 1, 10, 7),
-            RecoveryJournal::laned(journal::STEINS_REBUILD, 2, 1, marks)
-        );
-        // Any lane count: marks staircase over the regions, hwm = sum.
-        for lanes in 1..=8usize {
-            for n in [0usize, 1, 5, 10, 64] {
-                for done in 0..=n {
-                    let j = progress_journal(journal::ASIT_REPLAY, 0, lanes, n, done);
-                    assert_eq!(j.lanes as usize, lanes);
-                    assert_eq!(j.hwm, done as u64, "lanes={lanes} n={n} done={done}");
-                    // The cover of a staircase journal is exactly the
-                    // canonical prefix the sequential loop completed.
-                    let cover = journal_cover(&j, n);
-                    assert_eq!(
-                        cover.iter().filter(|c| **c).count(),
-                        done,
-                        "cover size matches"
-                    );
-                    assert!(cover[..done].iter().all(|c| *c), "cover is the prefix");
-                }
-            }
+    impl Counting {
+        fn bump(&self) {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl CryptoEngine for Counting {
+        fn otp(&self, addr: u64, major: u64, minor: u64) -> [u8; 64] {
+            self.bump();
+            self.inner.otp(addr, major, minor)
+        }
+
+        fn mac64(&self, msg: &[u8]) -> u64 {
+            self.bump();
+            self.inner.mac64(msg)
         }
     }
 
     #[test]
-    fn lane_count_does_not_change_recovery_results() {
-        // The workers=1 vs workers=4 determinism contract at unit scale:
-        // same crash image, different lane counts, identical reports
-        // (metrics included) and identical recovered reads.
-        for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
-            let (sys, expected) = exercise(scheme, CounterMode::General);
-            let crashed1 = sys.crash().with_recovery_lanes(1);
-            let (mut rec1, rep1) = crashed1.recover().expect("lanes=1 recovers");
-            let (sys4, _) = exercise(scheme, CounterMode::General);
-            let crashed4 = sys4.crash().with_recovery_lanes(4);
-            let (mut rec4, rep4) = crashed4.recover().expect("lanes=4 recovers");
-            assert_eq!(rep1.nvm_reads, rep4.nvm_reads, "{scheme:?}");
-            assert_eq!(
-                rep1.metrics.to_json_deterministic().pretty(),
-                rep4.metrics.to_json_deterministic().pretty(),
-                "{scheme:?}: metrics must be lane-count-invariant"
-            );
-            assert_eq!(
-                rec1.ctrl.nvm.recovery_journal(),
-                rec4.ctrl.nvm.recovery_journal(),
-                "{scheme:?}: terminal journal is layout-free"
-            );
-            for (addr, data) in expected {
-                assert_eq!(rec1.read(addr).unwrap(), data);
-                assert_eq!(rec4.read(addr).unwrap(), data);
+    fn recovered_systems_keep_the_crashed_crypto_engine() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        for lenient in [false, true] {
+            for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
+                let cfg = SystemConfig::small_for_tests(scheme, CounterMode::General);
+                let calls = Arc::new(AtomicU64::new(0));
+                let engine = Counting {
+                    inner: steins_crypto::engine::make_engine(cfg.crypto, cfg.secret_key()),
+                    calls: Arc::clone(&calls),
+                };
+                let mut sys = SecureNvmSystem::with_engine(cfg, Box::new(engine));
+                for i in 0..64u64 {
+                    sys.write(i * 64, &[i as u8; 64]).unwrap();
+                }
+                let crashed = sys.crash();
+                let mut rec = if lenient {
+                    crashed.recover_lenient().0.expect("scrub rebuilds")
+                } else {
+                    crashed.recover().expect("recovery verifies").0
+                };
+                let before = calls.load(Ordering::Relaxed);
+                for i in 0..64u64 {
+                    rec.write(i * 64 + 64 * 64, &[i as u8 ^ 0x5A; 64]).unwrap();
+                    assert_eq!(rec.read(i * 64).unwrap(), [i as u8; 64]);
+                }
+                assert!(
+                    calls.load(Ordering::Relaxed) > before,
+                    "{scheme:?} (lenient: {lenient}): the recovered system dropped the engine"
+                );
             }
         }
     }

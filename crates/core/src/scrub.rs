@@ -182,14 +182,6 @@ enum DataOutcome {
     Bad { major: u64 },
 }
 
-fn parse_node(mode: CounterMode, id: NodeId, line: &[u8; 64]) -> SitNode {
-    if id.level == 0 && mode == CounterMode::Split {
-        SitNode::split_from_line(line)
-    } else {
-        SitNode::general_from_line(line)
-    }
-}
-
 impl CrashedSystem {
     /// Lenient recovery: scrubs the image, classifies every region, and
     /// rebuilds a consistent live system (`None` for WB, which has no
@@ -228,18 +220,6 @@ impl CrashedSystem {
         } else {
             0
         };
-        // Region structure: the leaf scan splits into `lanes` contiguous
-        // leaf ranges, each classified into its own partial report, merged
-        // afterwards ([`ScrubReport::merge`] — verdict counters add,
-        // unrecoverable addresses concatenate). The verdicts of one region
-        // depend only on that region's data plane, so the merged report is
-        // lane-count-invariant and the regions are safe to farm out (the
-        // sharded engine's parallel scrub runs one whole-shard region per
-        // worker; see `crate::shard`).
-        let lanes = self
-            .recovery_lanes
-            .unwrap_or_else(crate::par::recovery_workers)
-            .clamp(1, crate::par::MAX_WORKERS);
         let mut reads = 0u64;
         let mut report = ScrubReport::empty(
             self.cfg.scheme.label(self.cfg.mode),
@@ -248,34 +228,17 @@ impl CrashedSystem {
         );
         report.journal_rejected = journal_rejected;
 
-        // —— 1. Data plane: verify every MAC record, rebuild the leaves,
-        //       one lane region of leaves at a time. ——
+        // —— 1. Data plane: verify every MAC record, rebuild the leaves. ——
         let total = geo.total_nodes() as usize;
-        let leaves = geo.nodes_at(0) as usize;
         let mut nodes: Vec<SitNode> = vec![SitNode::general_from_line(&[0u8; 64]); total];
-        for (start, end) in crate::par::lane_spans(leaves, lanes) {
-            let mut region = ScrubReport::empty(report.scheme.clone(), restarts, report.shard);
-            let mut region_reads = 0u64;
-            for li in start as u64..end as u64 {
-                let id = NodeId {
-                    level: 0,
-                    index: li,
-                };
-                let off = geo.offset_of(id);
-                region_reads += 1;
-                let stale = parse_node(
-                    self.cfg.mode,
-                    id,
-                    &self.nvm.peek(self.layout.node_addr(off)),
-                );
-                let leaf = self.scrub_leaf(&mut region_reads, id, &stale, &mut region);
-                nodes[off as usize] = leaf;
-            }
-            region.nvm_reads = region_reads;
-            report.merge(&region);
+        for index in 0..geo.nodes_at(0) {
+            let id = NodeId { level: 0, index };
+            let off = geo.offset_of(id);
+            reads += 1;
+            let stale =
+                SitNode::from_line(self.cfg.mode, 0, &self.nvm.peek(self.layout.node_addr(off)));
+            nodes[off as usize] = self.scrub_leaf(&mut reads, id, &stale, &mut report);
         }
-        reads += report.nvm_reads;
-        report.nvm_reads = 0;
 
         if !self.recoverable() {
             report.nvm_reads = reads;
@@ -378,19 +341,14 @@ impl CrashedSystem {
         //       roots) — exactly the state a clean, all-nodes-clean machine
         //       holds.
         report.nvm_reads = reads;
-        let mut sys = SecureNvmSystem::new(self.cfg.clone());
-        sys.ctrl.nvm = self.nvm;
-        sys.ctrl.root = self.root;
-        sys.truth = self.truth;
-        *out = Some(sys);
+        let slots = self.cfg.meta_cache.slots();
+        *out = Some(self.into_live());
         let sys = out.as_mut().expect("just parked");
         let restarts32 = restarts.min(u64::from(u32::MAX)) as u32;
         let n_rewrites = rewrites.len();
         sys.ctrl.journal_write(crate::recovery::progress_journal(
             crate::recovery::journal::SCRUB,
             restarts32,
-            lanes,
-            n_rewrites,
             0,
         ));
 
@@ -398,23 +356,11 @@ impl CrashedSystem {
         //       to empty (all nodes come back clean, so records/shadow/
         //       bitmap must say so). Every write is idempotent — a crash
         //       anywhere in here re-runs the scrub, which re-plans the same
-        //       rewrites from the untouched data plane. Under a multi-lane
-        //       scrub the journal additionally tracks per-lane rewrite
-        //       marks (same layout as strict recovery's rebuild phases);
-        //       a one-lane scrub journals only the opener and `DONE`.
-        for (i, (addr, line)) in rewrites.into_iter().enumerate() {
+        //       rewrites from the untouched data plane, so the journal
+        //       records only the opener and `DONE`.
+        for (addr, line) in rewrites {
             sys.ctrl.nvm.poke(addr, &line);
-            if lanes > 1 {
-                sys.ctrl.journal_write(crate::recovery::progress_journal(
-                    crate::recovery::journal::SCRUB,
-                    restarts32,
-                    lanes,
-                    n_rewrites,
-                    i + 1,
-                ));
-            }
         }
-        let slots = self.cfg.meta_cache.slots();
         let empty_record = RecordLine::default().to_line();
         for r in 0..slots.div_ceil(steins_metadata::records::RECORDS_PER_LINE) {
             sys.ctrl
@@ -435,8 +381,6 @@ impl CrashedSystem {
         sys.ctrl.journal_write(crate::recovery::progress_journal(
             crate::recovery::journal::DONE,
             restarts32,
-            1,
-            n_rewrites,
             n_rewrites,
         ));
         sys.ctrl.nvm.disarm_crash();
@@ -665,33 +609,31 @@ mod tests {
 
     #[test]
     fn scrub_verdicts_are_lane_count_invariant() {
-        for lanes in [1usize, 2, 4, 8] {
+        // The lane count is the sharded scrub's worker count: every shard
+        // scrubs serially off its own image, so verdicts, unrecoverable
+        // addresses and terminal journals do not depend on it.
+        let run = |workers: usize| {
             let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
-            let mut sys = SecureNvmSystem::new(cfg);
+            let engine = crate::ShardedEngine::new(cfg, 2);
             for i in 0..24u64 {
-                sys.write(i * 64, &[i as u8 + 1; 64]).unwrap();
+                engine.write(i * 64, &[i as u8 + 1; 64]).unwrap();
             }
-            let mut crashed = sys.crash().with_recovery_lanes(lanes);
-            crashed.tamper_data_at(5, 9, 0x40);
-            let (sys, report) = crashed.recover_lenient();
-            assert_eq!(report.data_intact, 23, "lanes={lanes}: {report}");
-            assert_eq!(report.data_unrecoverable, 1, "lanes={lanes}");
-            assert_eq!(report.unrecoverable_addrs, vec![5 * 64], "lanes={lanes}");
-            let mut sys = sys.unwrap();
-            assert_eq!(
-                sys.ctrl.nvm.recovery_journal(),
-                crate::recovery::progress_journal(
-                    crate::recovery::journal::DONE,
-                    0,
-                    1,
-                    report.meta_recovered as usize,
-                    report.meta_recovered as usize,
-                ),
-                "lanes={lanes}: terminal journal is layout-free"
-            );
-            for i in [0u64, 1, 2, 3, 4, 6, 7] {
-                assert_eq!(sys.read(i * 64).unwrap(), [i as u8 + 1; 64]);
-            }
+            let mut images = engine.crash_all();
+            images[1].tamper_data_at(2, 9, 0x40);
+            let (_, merged) = engine.scrub_all(images, workers);
+            let journals: Vec<_> = (0..2)
+                .map(|s| engine.with_shard(s, |sys| sys.ctrl.nvm.recovery_journal()))
+                .collect();
+            (merged, journals)
+        };
+        let one = run(1);
+        assert_eq!(one.0.data_unrecoverable, 1, "{}", one.0);
+        assert_eq!(one.0.unrecoverable_addrs.len(), 1);
+        for j in &one.1 {
+            assert_eq!(j.phase, crate::recovery::journal::DONE);
+        }
+        for workers in [2usize, 4, 8] {
+            assert_eq!(run(workers), one, "workers={workers}");
         }
     }
 

@@ -530,7 +530,7 @@ impl ShardedEngine {
     /// rebuild runs with `s`'s own lock released).
     ///
     /// `Degraded → Rebuilding`: the attempt claims the shard, raises
-    /// `ShardRepairStarted` (lifecycle alarm, cycle 0), and runs the laned
+    /// `ShardRepairStarted` (lifecycle alarm, cycle 0), and runs the
     /// lenient scrub over the image. On success the rebuilt system is
     /// re-armed with the shard's online policy and re-verified end to end
     /// (a full online scrub pass re-quarantines, with fresh alarms, any
@@ -574,7 +574,6 @@ impl ShardedEngine {
             (g.attempts, g.online)
         };
         Self::check_journal_owner(s, &crashed);
-        let crashed = crashed.with_recovery_lanes(par::recovery_workers());
         let (sys, report) = crashed.recover_lenient();
         let Some(mut sys) = sys else {
             // The image is consumed; a retry needs a fresh one.
@@ -708,9 +707,8 @@ impl ShardedEngine {
 
     /// Runs `job` once per shard on that shard's crashed image, as
     /// independent region jobs on a work-stealing queue served by
-    /// `workers` threads; each image journals with `workers` lane-mark
-    /// slots. Returns the results in shard order and the wall-side steal
-    /// count.
+    /// `workers` threads. Returns the results in shard order and the
+    /// wall-side steal count.
     fn per_image<T: Send>(
         &self,
         crashed: Vec<CrashedSystem>,
@@ -725,8 +723,7 @@ impl ShardedEngine {
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .take()
-                .expect("each region runs exactly once")
-                .with_recovery_lanes(workers);
+                .expect("each region runs exactly once");
             job(s, img)
         })
     }
@@ -734,8 +731,8 @@ impl ShardedEngine {
     /// Recovers the whole engine in parallel: the per-shard crashed images
     /// are independent region jobs on a work-stealing queue served by
     /// `workers` threads (clamped to [`par::MAX_WORKERS`]). Each region
-    /// recovers off its own ADR journal line with `workers` lane-mark slots
-    /// and reinstates itself into its slot as soon as it finishes.
+    /// recovers serially off its own ADR journal line and reinstates itself
+    /// into its slot as soon as it finishes.
     ///
     /// Determinism: every number in the returned [`ParallelRecovery`]
     /// except `steals` is computed from the per-shard reports and the

@@ -31,12 +31,9 @@ fn crashed_image(mode: CounterMode) -> CrashedSystem {
 fn forge_journal(crashed: &mut CrashedSystem) {
     let mut j = crashed.nvm().recovery_journal();
     let stale_mac = crashed.nvm().journal_mac();
-    // Claim a laned recovery was interrupted deep into the address space —
+    // Claim a recovery was interrupted deep into the address space —
     // exactly the lie that would let an attacker skip re-verification.
     j.phase = 1;
-    j.lanes = 2;
-    j.marks = [0; steins_nvm::RECOVERY_LANES];
-    j.marks[0] = LINES / 2;
     j.hwm = LINES / 2;
     j.restarts = 7;
     crashed.nvm_mut().set_recovery_journal(j, stale_mac);

@@ -1,19 +1,26 @@
-//! Cross-cutting contracts of the parallel (laned) recovery path.
+//! Cross-cutting contracts of recovery across shards and across crashes.
 //!
-//! * **Worker-count determinism** — the lane count a recovery runs with
-//!   only decides how the in-progress journal partitions its marks, never
-//!   what recovery computes: recoveries with 1, 2, 4 and 8 lanes produce
-//!   byte-identical deterministic metric exports, identical post-recovery
-//!   tree state, and the same one-lane terminal journal, for all four
-//!   schemes (WB refuses either way).
-//! * **Cross-lane-count resume** — an attempt interrupted while journaling
-//!   one lane resumes under a four-lane recoverer and vice versa, with
-//!   exactly one restart recorded (no spurious extras), and a *completed*
-//!   journal resumes with zero restarts whatever lane count wrote it.
+//! * **Worker-count determinism** — the number of OS workers a sharded
+//!   recovery runs with decides only the modeled fold, never what any
+//!   shard's recovery computes: 1, 2, 4 and 8 workers produce
+//!   byte-identical per-shard metric exports, read counts, recovered data
+//!   and terminal journals, for all three recoverable schemes (WB refuses
+//!   at every worker count).
+//! * **Resume** — an attempt interrupted mid-rebuild resumes off the
+//!   journal's high-water mark with exactly one restart recorded (no
+//!   spurious extras), and a *completed* journal resumes with zero
+//!   restarts. The journal an engine-wide recovery leaves when one shard's
+//!   region is interrupted under N workers resumes under M workers: the
+//!   worker count, like the lane count of the modeled fold, is never
+//!   written to the journal.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use steins_core::recovery::journal;
 use steins_core::{
-    CounterMode, CrashedSystem, SchemeKind, SecureNvmSystem, ShardedEngine, SystemConfig,
+    par, CounterMode, CrashedSystem, RecoveryReport, SchemeKind, SecureNvmSystem, ShardedEngine,
+    SystemConfig,
 };
 
 const LINES: u64 = 48;
@@ -48,59 +55,88 @@ fn expected(i: u64) -> [u8; 64] {
     }
 }
 
-/// Runs the full crash+recover scenario with `lanes` lane slots and
-/// returns everything an observer could compare across lane counts.
-fn recovered_state(scheme: SchemeKind, lanes: usize) -> (String, u64, steins_nvm::RecoveryJournal) {
-    let crashed = dirty_system(scheme).crash().with_recovery_lanes(lanes);
-    let (mut sys, report) = crashed.recover().unwrap();
+const SHARDS: usize = 4;
+
+/// A dirtied `SHARDS`-shard engine of `scheme`.
+fn dirty_engine(scheme: SchemeKind) -> ShardedEngine {
+    let cfg = SystemConfig::small_for_tests(scheme, CounterMode::General);
+    let engine = ShardedEngine::new(cfg, SHARDS);
     for i in 0..LINES {
-        assert_eq!(sys.read(i * 64).unwrap(), expected(i), "line {i} diverged");
+        engine.write(i * 64, &payload(i)).unwrap();
     }
-    (
-        report.metrics.to_json_deterministic().pretty(),
-        report.nvm_reads,
-        sys.ctrl.nvm().recovery_journal(),
-    )
+    for i in 0..LINES / 3 {
+        engine.write(i * 64, &payload(i ^ 0x55)).unwrap();
+    }
+    engine
+}
+
+/// Crashes and recovers a dirtied engine with `workers` OS workers and
+/// returns everything an observer could compare across worker counts.
+fn recovered_state(
+    scheme: SchemeKind,
+    workers: usize,
+) -> Vec<(String, u64, steins_nvm::RecoveryJournal)> {
+    let engine = dirty_engine(scheme);
+    let images = engine.crash_all();
+    let pr = engine.recover_all(images, workers).unwrap();
+    for i in 0..LINES {
+        assert_eq!(
+            engine.read(i * 64).unwrap(),
+            expected(i),
+            "line {i} diverged"
+        );
+    }
+    pr.reports
+        .iter()
+        .enumerate()
+        .map(|(s, r)| {
+            let journal = engine.with_shard(s, |sys| sys.ctrl.nvm().recovery_journal());
+            (
+                r.metrics.to_json_deterministic().pretty(),
+                r.nvm_reads,
+                journal,
+            )
+        })
+        .collect()
 }
 
 #[test]
 fn worker_count_is_invisible_in_recovery_reports() {
     for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
-        let (m1, r1, j1) = recovered_state(scheme, 1);
-        for lanes in [2usize, 4, 8] {
-            let (m, r, j) = recovered_state(scheme, lanes);
-            assert_eq!(m1, m, "{scheme:?}: metrics diverge at {lanes} lanes");
-            assert_eq!(r1, r, "{scheme:?}: read counts diverge at {lanes} lanes");
+        let one = recovered_state(scheme, 1);
+        for workers in [2usize, 4, 8] {
             assert_eq!(
-                j1, j,
-                "{scheme:?}: terminal journal diverges at {lanes} lanes"
+                one,
+                recovered_state(scheme, workers),
+                "{scheme:?}: per-shard recovery diverges at {workers} workers"
             );
         }
-        assert_eq!(j1.lanes, 1, "terminal journals are always one lane");
-        assert_eq!(j1.phase, journal::DONE);
+        for (_, _, j) in &one {
+            assert_eq!(j.phase, journal::DONE);
+        }
     }
 }
 
 #[test]
 fn wb_refuses_recovery_at_every_lane_count() {
-    for lanes in [1usize, 4] {
-        let crashed = dirty_system(SchemeKind::WriteBack)
-            .crash()
-            .with_recovery_lanes(lanes);
+    // The lane count here is the worker count of the modeled fold.
+    for workers in [1usize, 4] {
+        let engine = dirty_engine(SchemeKind::WriteBack);
+        let images = engine.crash_all();
         assert!(
             matches!(
-                crashed.recover(),
+                engine.recover_all(images, workers),
                 Err(steins_core::IntegrityError::RecoveryUnsupported)
             ),
-            "WB must refuse recovery with {lanes} lanes"
+            "WB must refuse recovery with {workers} workers"
         );
     }
 }
 
 /// Enumerates the absolute persist points a recovery of `scheme`'s crashed
 /// image fires (on a sacrificial replay of the same deterministic scenario).
-fn recovery_points(scheme: SchemeKind, lanes: usize) -> Vec<u64> {
-    let mut probe = dirty_system(scheme).crash().with_recovery_lanes(lanes);
+fn recovery_points(scheme: SchemeKind) -> Vec<u64> {
+    let mut probe = dirty_system(scheme).crash();
     probe.nvm_mut().journal_points(true);
     let mut slot = None;
     probe.recover_into(&mut slot).unwrap();
@@ -113,18 +149,14 @@ fn recovery_points(scheme: SchemeKind, lanes: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Interrupts a recovery journaling with `first_lanes` lane slots at its
-/// `frac`-th durable write, then finishes the job with `second_lanes` —
-/// the journal written under one lane count must be resumable under the
-/// other.
-fn interrupt_then_resume(scheme: SchemeKind, first_lanes: usize, second_lanes: usize, frac: f64) {
-    let points = recovery_points(scheme, first_lanes);
+/// Interrupts a recovery at its `frac`-th durable write, then finishes the
+/// job off the journal the interrupted attempt left.
+fn interrupt_then_resume(scheme: SchemeKind, frac: f64) {
+    let points = recovery_points(scheme);
     assert!(!points.is_empty(), "{scheme:?}: recovery fires no points");
     let j = points[((points.len() - 1) as f64 * frac) as usize];
 
-    let mut crashed = dirty_system(scheme)
-        .crash()
-        .with_recovery_lanes(first_lanes);
+    let mut crashed = dirty_system(scheme).crash();
     crashed.nvm_mut().arm_crash_torn(j, 0xFF);
     let mut slot = None;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -136,12 +168,12 @@ fn interrupt_then_resume(scheme: SchemeKind, first_lanes: usize, second_lanes: u
     assert!(payload.is::<steins_nvm::CrashTripped>());
     let partial = slot.take().expect("recovery parks before durable writes");
     let interrupted = partial.ctrl.nvm().recovery_journal();
-    let mut crashed2: CrashedSystem = partial.crash().with_recovery_lanes(second_lanes);
+    let mut crashed2: CrashedSystem = partial.crash();
     crashed2.nvm_mut().disarm_crash();
     let was_in_progress = journal::in_progress(interrupted.phase);
-    let (mut sys, report) = crashed2.recover().unwrap_or_else(|e| {
-        panic!("{scheme:?}: resume {first_lanes}→{second_lanes} lanes failed: {e}")
-    });
+    let (mut sys, report) = crashed2
+        .recover()
+        .unwrap_or_else(|e| panic!("{scheme:?}: resume after point {j} failed: {e}"));
     let restarts = report
         .metrics
         .counter("core.recovery.restarts")
@@ -149,7 +181,7 @@ fn interrupt_then_resume(scheme: SchemeKind, first_lanes: usize, second_lanes: u
     if was_in_progress {
         assert_eq!(
             restarts, 1,
-            "{scheme:?}: {first_lanes}→{second_lanes} lanes must record exactly one restart"
+            "{scheme:?}: resume after point {j} must record exactly one restart"
         );
     } else {
         assert_eq!(restarts, 0, "{scheme:?}: finished journals restart nothing");
@@ -161,10 +193,149 @@ fn interrupt_then_resume(scheme: SchemeKind, first_lanes: usize, second_lanes: u
 }
 
 #[test]
+fn interrupted_rebuild_resumes_with_one_restart() {
+    for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
+        for frac in [0.25, 0.6, 0.9] {
+            interrupt_then_resume(scheme, frac);
+        }
+    }
+}
+
+#[test]
+fn completed_journal_resumes_with_zero_restarts() {
+    for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
+        let (sys, _report) = dirty_system(scheme).crash().recover().unwrap();
+        // Crash again right away: the ADR journal still reads DONE from the
+        // first recovery.
+        let (_sys, report) = sys.crash().recover().unwrap();
+        assert_eq!(
+            report
+                .metrics
+                .counter("core.recovery.restarts")
+                .unwrap_or(0),
+            0,
+            "{scheme:?}: a DONE journal is not an interrupted attempt"
+        );
+    }
+}
+
+fn restarts(report: &RecoveryReport) -> u64 {
+    report
+        .metrics
+        .counter("core.recovery.restarts")
+        .unwrap_or(0)
+}
+
+/// The shard whose region the cross-worker resume tests interrupt.
+const TARGET: usize = 1;
+
+/// Enumerates the absolute persist points shard `TARGET`'s recovery fires
+/// after a whole-engine crash of [`dirty_engine`] (on a sacrificial replay
+/// of the same deterministic scenario).
+fn shard_recovery_points(scheme: SchemeKind) -> Vec<u64> {
+    let mut probe = dirty_engine(scheme).crash_all().swap_remove(TARGET);
+    probe.nvm_mut().journal_points(true);
+    let mut slot = None;
+    probe.recover_into(&mut slot).unwrap();
+    let sys = slot.expect("recovery parks the rebuilt system");
+    sys.ctrl
+        .nvm()
+        .point_journal()
+        .iter()
+        .map(|p| p.seq)
+        .collect()
+}
+
+/// Recovers a crashed `SHARDS`-shard engine on `first` workers with a
+/// second crash armed at the `frac`-th durable write of shard `TARGET`'s
+/// rebuild, then crashes the whole engine again and finishes the job with
+/// [`ShardedEngine::recover_all`] on `second` workers. Only the interrupted
+/// region may record a restart, and it records exactly one.
+fn interrupt_then_resume_across_workers(
+    scheme: SchemeKind,
+    first: usize,
+    second: usize,
+    frac: f64,
+) {
+    let points = shard_recovery_points(scheme);
+    assert!(!points.is_empty(), "{scheme:?}: recovery fires no points");
+    let j = points[((points.len() - 1) as f64 * frac) as usize];
+
+    let engine = dirty_engine(scheme);
+    let mut images = engine.crash_all();
+    images[TARGET].nvm_mut().arm_crash_torn(j, 0xFF);
+    let images: Vec<Mutex<Option<CrashedSystem>>> =
+        images.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let (outcomes, _steals) = par::run_regions(first, SHARDS, |s, _w| {
+        let img = images[s]
+            .lock()
+            .unwrap()
+            .take()
+            .expect("each region runs exactly once");
+        let mut slot = None;
+        let outcome = catch_unwind(AssertUnwindSafe(|| img.recover_into(&mut slot)));
+        (outcome, slot)
+    });
+
+    let mut partial = None;
+    for (s, (outcome, slot)) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Err(payload) if s == TARGET => {
+                assert!(payload.is::<steins_nvm::CrashTripped>());
+                let mut sys = slot.expect("recovery parks before durable writes");
+                sys.ctrl.nvm_mut().disarm_crash();
+                partial = Some(sys);
+            }
+            Err(_) => panic!("{scheme:?}: crash armed on shard {TARGET} tripped region {s}"),
+            Ok(report) => {
+                assert_ne!(s, TARGET, "{scheme:?}: inner point {j} never tripped");
+                let report = report.unwrap_or_else(|e| panic!("{scheme:?}: region {s}: {e}"));
+                assert_eq!(restarts(&report), 0, "{scheme:?}: region {s} restarted");
+                engine.put_shard(s, slot.expect("recovery parks the rebuilt system"));
+            }
+        }
+    }
+    let partial = partial.expect("the target region tripped");
+    let was_in_progress = journal::in_progress(partial.ctrl.nvm().recovery_journal().phase);
+
+    let mut partial = Some(partial);
+    let images: Vec<CrashedSystem> = (0..SHARDS)
+        .map(|s| {
+            if s == TARGET {
+                partial.take().expect("one interrupted region").crash()
+            } else {
+                engine.crash_shard(s)
+            }
+        })
+        .collect();
+    let pr = engine.recover_all(images, second).unwrap_or_else(|e| {
+        panic!("{scheme:?}: resume {first}→{second} workers after point {j} failed: {e}")
+    });
+    for (s, report) in pr.reports.iter().enumerate() {
+        let want = u64::from(s == TARGET && was_in_progress);
+        assert_eq!(
+            restarts(report),
+            want,
+            "{scheme:?}: {first}→{second} workers: shard {s} restart count"
+        );
+        let phase = engine.with_shard(s, |sys| sys.ctrl.nvm().recovery_journal().phase);
+        assert_eq!(phase, journal::DONE);
+    }
+    for i in 0..LINES {
+        assert_eq!(
+            engine.read(i * 64).unwrap(),
+            expected(i),
+            "line {i} diverged"
+        );
+    }
+}
+
+// The lane count in these names is the worker count of the modeled fold.
+#[test]
 fn one_lane_journal_resumes_under_four_lanes() {
     for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
         for frac in [0.25, 0.6, 0.9] {
-            interrupt_then_resume(scheme, 1, 4, frac);
+            interrupt_then_resume_across_workers(scheme, 1, 4, frac);
         }
     }
 }
@@ -173,30 +344,8 @@ fn one_lane_journal_resumes_under_four_lanes() {
 fn four_lane_journal_resumes_under_one_lane() {
     for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
         for frac in [0.25, 0.6, 0.9] {
-            interrupt_then_resume(scheme, 4, 1, frac);
+            interrupt_then_resume_across_workers(scheme, 4, 1, frac);
         }
-    }
-}
-
-#[test]
-fn completed_journals_resume_with_zero_restarts_in_either_layout() {
-    for (first, second) in [(1usize, 4usize), (4, 1)] {
-        let crashed = dirty_system(SchemeKind::Steins)
-            .crash()
-            .with_recovery_lanes(first);
-        let (sys, _report) = crashed.recover().unwrap();
-        // Crash again right away: the ADR journal still reads DONE from the
-        // first recovery, whatever lane count wrote its in-progress entries.
-        let crashed2 = sys.crash().with_recovery_lanes(second);
-        let (_sys, report) = crashed2.recover().unwrap();
-        assert_eq!(
-            report
-                .metrics
-                .counter("core.recovery.restarts")
-                .unwrap_or(0),
-            0,
-            "{first}→{second} lanes: a DONE journal is not an interrupted attempt"
-        );
     }
 }
 

@@ -7,7 +7,9 @@
 //! counter)` under the MAC key (§II-C) — [`SitNode::mac_message`] builds
 //! that exact byte string so every scheme MACs identically.
 
-use crate::counter::{CounterBlock, GeneralCounters, SplitCounters, CTR56_MAX, MINOR_MAX};
+use crate::counter::{
+    CounterBlock, CounterMode, GeneralCounters, SplitCounters, CTR56_MAX, MINOR_MAX,
+};
 
 /// 64-byte line, re-declared locally to keep this crate independent of the
 /// device crate.
@@ -109,6 +111,21 @@ impl SitNode {
         }
     }
 
+    /// Decodes the node line stored at tree `level` under `mode`: split
+    /// leaves in split-counter mode, general nodes everywhere else.
+    pub fn from_line(mode: CounterMode, level: usize, line: &Line) -> Self {
+        if level == 0 && mode == CounterMode::Split {
+            Self::split_from_line(line)
+        } else {
+            Self::general_from_line(line)
+        }
+    }
+
+    /// Whether this is the lazily-initialized state: an all-zero line.
+    pub fn is_zero(&self) -> bool {
+        self.to_line() == [0u8; 64]
+    }
+
     /// The exact byte string the node HMAC covers:
     /// `counters (56 B) ‖ node address (8 B) ‖ parent counter (8 B)`.
     pub fn mac_message(&self, node_addr: u64, parent_counter: u64) -> [u8; 72] {
@@ -199,6 +216,28 @@ mod tests {
     fn zero_nodes_serialize_to_zero_lines() {
         assert_eq!(SitNode::zero_general().to_line(), [0u8; 64]);
         assert_eq!(SitNode::zero_split().to_line(), [0u8; 64]);
+    }
+
+    #[test]
+    fn from_line_decodes_split_only_at_split_leaves() {
+        let mut s = SplitCounters {
+            major: 9,
+            ..Default::default()
+        };
+        s.minors[3] = 5;
+        let line = SitNode {
+            counters: CounterBlock::Split(s),
+            hmac: 7,
+        }
+        .to_line();
+        let split = SitNode::split_from_line(&line);
+        let general = SitNode::general_from_line(&line);
+        assert_eq!(SitNode::from_line(CounterMode::Split, 0, &line), split);
+        assert_eq!(SitNode::from_line(CounterMode::Split, 1, &line), general);
+        assert_eq!(SitNode::from_line(CounterMode::General, 0, &line), general);
+        assert!(!split.is_zero());
+        assert!(SitNode::from_line(CounterMode::Split, 0, &[0u8; 64]).is_zero());
+        assert!(SitNode::zero_general().is_zero());
     }
 
     #[test]

@@ -39,125 +39,34 @@ pub const READ_RETRY_BASE_CYCLES: Cycle = 32;
 /// journal's persist events never collide with a real line.
 pub const RECOVERY_JOURNAL_ADDR: u64 = !63;
 
-/// Per-lane high-water-mark slots in the [`RecoveryJournal`]. Parallel
-/// recovery splits a rebuild into at most this many contiguous regions and
-/// journals each region's progress in its own slot (one 8 B word per slot —
-/// together with the phase/restart words the journal still fits one ADR
-/// line).
-pub const RECOVERY_LANES: usize = 8;
-
-/// Largest valid [`RecoveryJournal::phase`] value (the controller crate's
-/// `journal::ONLINE`). [`RecoveryJournal::decode`] rejects anything above
-/// it: a phase the controller never defined cannot have been written by a
-/// legitimate recoverer.
-pub const JOURNAL_MAX_PHASE: u8 = 7;
-
 /// Byte length of [`RecoveryJournal::mac_message`]: domain tag (8) +
-/// phase (1) + lanes (1) + zero padding (2) + restarts (4) + hwm (8) +
-/// marks (8 × 8).
-pub const JOURNAL_MAC_MSG_BYTES: usize = 88;
-
-/// Byte length of the durable journal encoding ([`RecoveryJournal::encode`]):
-/// magic (4) + phase (1) + lanes (1) + reserved (2) + restarts (4) +
-/// reserved (4) + hwm (8) + marks (64) + MAC (8).
-pub const JOURNAL_ENC_BYTES: usize = 96;
-
-/// Magic prefix of the durable journal encoding.
-pub const JOURNAL_MAGIC: [u8; 4] = *b"SJR1";
+/// phase (1) + zero padding (3) + restarts (4) + hwm (8).
+pub const JOURNAL_MAC_MSG_BYTES: usize = 24;
 
 /// Capacity of the device's retry-exhaustion log: promotions beyond it
 /// evict the oldest entry and bump the dropped counter, so an undrained
 /// chaos soak sees bounded memory instead of unbounded growth.
 pub const EXHAUSTED_LOG_CAP: usize = 1024;
 
-/// Why a durable journal image failed to decode. Every variant is a typed
-/// refusal — [`RecoveryJournal::decode`] never panics, for any input bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JournalDecodeError {
-    /// Fewer than [`JOURNAL_ENC_BYTES`] bytes.
-    Truncated {
-        /// Bytes actually presented.
-        got: usize,
-    },
-    /// The magic prefix is wrong — the line never held a journal.
-    BadMagic,
-    /// A phase tag above [`JOURNAL_MAX_PHASE`].
-    BadPhase(u8),
-    /// A lane count above [`RECOVERY_LANES`], or a lane count of 0 on a
-    /// journal that is not the never-written [`RecoveryJournal::default`].
-    BadLanes(u8),
-    /// A reserved field is non-zero.
-    ReservedNonZero,
-    /// The lane marks are inconsistent: `hwm` is not the sum of the marks
-    /// in use, or a slot past the lane count is non-zero.
-    BadMarks,
-}
-
-impl std::fmt::Display for JournalDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalDecodeError::Truncated { got } => {
-                write!(f, "journal truncated: {got} of {JOURNAL_ENC_BYTES} bytes")
-            }
-            JournalDecodeError::BadMagic => write!(f, "journal magic mismatch"),
-            JournalDecodeError::BadPhase(p) => write!(f, "journal phase {p} undefined"),
-            JournalDecodeError::BadLanes(l) => {
-                write!(
-                    f,
-                    "journal lane count {l} invalid: a written journal has 1..={RECOVERY_LANES}"
-                )
-            }
-            JournalDecodeError::ReservedNonZero => {
-                write!(f, "journal reserved bytes non-zero")
-            }
-            JournalDecodeError::BadMarks => {
-                write!(f, "journal hwm/marks invariant violated")
-            }
-        }
-    }
-}
-
-/// The ADR-resident recovery journal: a phase tag plus per-lane high-water
-/// marks that recovery updates as it replays durable state, making a
+/// The ADR-resident recovery journal: a phase tag plus one high-water
+/// mark that recovery updates as it replays durable state, making a
 /// second crash *during* recovery survivable. `phase` values are assigned
 /// by the controller crate (the device only persists them); `restarts`
 /// counts recovery attempts that were interrupted before reaching their
-/// terminal phase.
-///
-/// **Lane marks.** A recoverer splits its work into `lanes` contiguous
-/// regions and records each region's completed steps in `marks[..lanes]`;
-/// a serial recoverer writes one lane. `hwm` is the stored sum of the
-/// marks, so a recoverer resuming with a different lane count sees a
-/// consistent total. Every written journal has `lanes >= 1`; `lanes == 0`
-/// appears only in the never-written [`RecoveryJournal::default`].
+/// terminal phase. Every recoverer completes its items one by one in a
+/// canonical order, so `hwm` — the number completed — names the durable
+/// prefix a resumed attempt may trust.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryJournal {
     /// Controller-defined phase tag (0 = idle / never recovered).
     pub phase: u8,
-    /// Completed steps within the phase: the sum of the lane marks.
-    pub hwm: u64,
     /// Recovery attempts interrupted before completion.
     pub restarts: u32,
-    /// Lane-mark slots in use (0 only in the never-written default).
-    pub lanes: u8,
-    /// Per-lane completed-step counts within each lane's region.
-    pub marks: [u64; RECOVERY_LANES],
+    /// Completed steps within the phase.
+    pub hwm: u64,
 }
 
 impl RecoveryJournal {
-    /// A journal over `lanes` regions with per-region `marks`; `hwm` is
-    /// derived as their sum.
-    pub fn laned(phase: u8, restarts: u32, lanes: u8, marks: [u64; RECOVERY_LANES]) -> Self {
-        debug_assert!((1..=RECOVERY_LANES).contains(&(lanes as usize)));
-        RecoveryJournal {
-            phase,
-            hwm: marks.iter().sum(),
-            restarts,
-            lanes,
-            marks,
-        }
-    }
-
     /// The canonical byte string a journal MAC covers: an 8-byte domain
     /// tag, then every field in a fixed little-endian layout. The domain
     /// tag keeps journal MACs disjoint from every other MAC the engine
@@ -166,88 +75,10 @@ impl RecoveryJournal {
         let mut msg = [0u8; JOURNAL_MAC_MSG_BYTES];
         msg[..8].copy_from_slice(b"SNVMJRNL");
         msg[8] = self.phase;
-        msg[9] = self.lanes;
-        // msg[10..12] stays zero (padding).
+        // msg[9..12] stays zero (padding).
         msg[12..16].copy_from_slice(&self.restarts.to_le_bytes());
         msg[16..24].copy_from_slice(&self.hwm.to_le_bytes());
-        for (i, m) in self.marks.iter().enumerate() {
-            msg[24 + i * 8..32 + i * 8].copy_from_slice(&m.to_le_bytes());
-        }
         msg
-    }
-
-    /// Serializes the journal plus its MAC into the durable on-media
-    /// layout (fixed [`JOURNAL_ENC_BYTES`] bytes, little-endian fields,
-    /// [`JOURNAL_MAGIC`] prefix). The device does not verify the MAC —
-    /// it has no key; the controller seals on write and checks on read.
-    pub fn encode(&self, mac: u64) -> [u8; JOURNAL_ENC_BYTES] {
-        let mut out = [0u8; JOURNAL_ENC_BYTES];
-        out[..4].copy_from_slice(&JOURNAL_MAGIC);
-        out[4] = self.phase;
-        out[5] = self.lanes;
-        // out[6..8] reserved, zero.
-        out[8..12].copy_from_slice(&self.restarts.to_le_bytes());
-        // out[12..16] reserved, zero.
-        out[16..24].copy_from_slice(&self.hwm.to_le_bytes());
-        for (i, m) in self.marks.iter().enumerate() {
-            out[24 + i * 8..32 + i * 8].copy_from_slice(&m.to_le_bytes());
-        }
-        out[88..96].copy_from_slice(&mac.to_le_bytes());
-        out
-    }
-
-    /// Parses a durable journal image back into `(journal, mac)`,
-    /// refusing (typed, never panicking) anything that violates the
-    /// layout: short input, wrong magic, an undefined phase tag, a lane
-    /// count above [`RECOVERY_LANES`], a lane count of 0 on anything but
-    /// the never-written default journal, non-zero reserved bytes, or an
-    /// `hwm` that is not the sum of the lane marks. MAC verification
-    /// is the caller's job — decode only proves the bytes are *shaped*
-    /// like a journal.
-    pub fn decode(bytes: &[u8]) -> Result<(RecoveryJournal, u64), JournalDecodeError> {
-        if bytes.len() < JOURNAL_ENC_BYTES {
-            return Err(JournalDecodeError::Truncated { got: bytes.len() });
-        }
-        if bytes[..4] != JOURNAL_MAGIC {
-            return Err(JournalDecodeError::BadMagic);
-        }
-        let phase = bytes[4];
-        if phase > JOURNAL_MAX_PHASE {
-            return Err(JournalDecodeError::BadPhase(phase));
-        }
-        let lanes = bytes[5];
-        if lanes as usize > RECOVERY_LANES {
-            return Err(JournalDecodeError::BadLanes(lanes));
-        }
-        if bytes[6..8] != [0, 0] || bytes[12..16] != [0, 0, 0, 0] {
-            return Err(JournalDecodeError::ReservedNonZero);
-        }
-        let le4 = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap());
-        let le8 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-        let restarts = le4(&bytes[8..12]);
-        let hwm = le8(&bytes[16..24]);
-        let mut marks = [0u64; RECOVERY_LANES];
-        for (i, m) in marks.iter_mut().enumerate() {
-            *m = le8(&bytes[24 + i * 8..32 + i * 8]);
-        }
-        let journal = RecoveryJournal {
-            phase,
-            hwm,
-            restarts,
-            lanes,
-            marks,
-        };
-        if lanes == 0 && journal != RecoveryJournal::default() {
-            return Err(JournalDecodeError::BadLanes(0));
-        }
-        let sum: u64 = marks[..lanes as usize]
-            .iter()
-            .try_fold(0u64, |acc, &m| acc.checked_add(m))
-            .ok_or(JournalDecodeError::BadMarks)?;
-        if sum != hwm || marks[lanes as usize..].iter().any(|&m| m != 0) {
-            return Err(JournalDecodeError::BadMarks);
-        }
-        Ok((journal, le8(&bytes[88..96])))
     }
 }
 
@@ -845,11 +676,12 @@ mod tests {
         NvmDevice::new(NvmConfig::small_for_tests())
     }
 
-    /// The one-lane journal a serial recoverer writes.
     fn serial(phase: u8, hwm: u64, restarts: u32) -> RecoveryJournal {
-        let mut marks = [0u64; RECOVERY_LANES];
-        marks[0] = hwm;
-        RecoveryJournal::laned(phase, restarts, 1, marks)
+        RecoveryJournal {
+            phase,
+            restarts,
+            hwm,
+        }
     }
 
     #[test]
@@ -1158,20 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn laned_journal_progress_matches_hwm() {
-        let mut marks = [0u64; RECOVERY_LANES];
-        marks[0] = 5;
-        marks[2] = 3;
-        let j = RecoveryJournal::laned(1, 0, 4, marks);
-        assert_eq!(j.hwm, 8, "hwm derives as the mark sum");
-        // Round-trips through the device like any journal.
-        let mut d = dev();
-        d.set_recovery_journal(j, 0);
-        assert_eq!(d.recovery_journal().marks[2], 3);
-        assert_eq!(d.recovery_journal().hwm, 8);
-    }
-
-    #[test]
     fn write_then_read_same_bank_pays_wtr() {
         let mut d = dev();
         let wdone = d.write(0, 0, &[1; 64]);
@@ -1207,151 +1025,21 @@ mod tests {
     }
 
     #[test]
-    fn journal_encode_decode_round_trips_both_layouts() {
-        let one = serial(3, 17, 2);
-        let (got, mac) = RecoveryJournal::decode(&one.encode(0xFEED_BEEF)).unwrap();
-        assert_eq!(got, one);
-        assert_eq!(mac, 0xFEED_BEEF);
-
-        let mut marks = [0u64; RECOVERY_LANES];
-        marks[0] = 5;
-        marks[4] = 9;
-        let laned = RecoveryJournal::laned(7, 1, 5, marks);
-        let (got, mac) = RecoveryJournal::decode(&laned.encode(u64::MAX)).unwrap();
-        assert_eq!(got, laned);
-        assert_eq!(mac, u64::MAX);
-
-        // The MAC message is layout-sensitive: two different journals
-        // never share a message.
-        assert_ne!(one.mac_message(), laned.mac_message());
-    }
-
-    #[test]
-    fn journal_decode_rejects_malformed_images_typed() {
-        let good = serial(2, 9, 0).encode(42);
-        // Truncations at every length below the full image.
-        for len in 0..JOURNAL_ENC_BYTES {
-            assert_eq!(
-                RecoveryJournal::decode(&good[..len]),
-                Err(JournalDecodeError::Truncated { got: len })
-            );
-        }
-        // Wrong magic.
-        let mut bad = good;
-        bad[0] ^= 0xFF;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMagic)
-        );
-        // Undefined phase tag.
-        let mut bad = good;
-        bad[4] = JOURNAL_MAX_PHASE + 1;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadPhase(JOURNAL_MAX_PHASE + 1))
-        );
-        // Lane count past the slot array.
-        let mut bad = good;
-        bad[5] = RECOVERY_LANES as u8 + 1;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadLanes(RECOVERY_LANES as u8 + 1))
-        );
-        // Reserved bytes must stay zero.
-        for idx in [6, 7, 12, 13, 14, 15] {
-            let mut bad = good;
-            bad[idx] = 1;
-            assert_eq!(
-                RecoveryJournal::decode(&bad),
-                Err(JournalDecodeError::ReservedNonZero)
-            );
-        }
-        // An hwm that disagrees with the mark sum.
-        let mut marks = [0u64; RECOVERY_LANES];
-        marks[0] = 4;
-        let mut bad = RecoveryJournal::laned(1, 0, 2, marks).encode(0);
-        bad[16] ^= 0x02;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMarks)
-        );
-        // A mark beyond the lane count.
-        let mut bad = RecoveryJournal::laned(1, 0, 2, marks).encode(0);
-        bad[24 + 5 * 8] = 1;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMarks)
-        );
-        // Lane-mark sum that overflows u64 fails typed, not by panic.
-        let mut marks = [0u64; RECOVERY_LANES];
-        marks[0] = u64::MAX;
-        marks[1] = u64::MAX;
-        let mut bad = serial(1, 0, 0).encode(0);
-        bad[5] = 2;
-        bad[24..32].copy_from_slice(&marks[0].to_le_bytes());
-        bad[32..40].copy_from_slice(&marks[1].to_le_bytes());
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMarks)
-        );
-    }
-
-    #[test]
-    fn journal_decode_refuses_zero_lanes_on_written_journals() {
-        // The never-written default is the one journal with no lanes.
-        let blank = RecoveryJournal::default();
-        assert_eq!(RecoveryJournal::decode(&blank.encode(0)), Ok((blank, 0)));
-        // Anything else written with lanes == 0 is refused, whichever
-        // field carries the content.
-        let written = [
-            RecoveryJournal { phase: 6, ..blank },
+    fn journal_mac_message_binds_every_field() {
+        // Changing any one field changes the MAC message, so a journal
+        // forged in any field fails the MAC check.
+        let base = serial(3, 17, 2);
+        let variants = [
+            RecoveryJournal { phase: 4, ..base },
             RecoveryJournal {
-                restarts: 1,
-                ..blank
+                restarts: 3,
+                ..base
             },
-            RecoveryJournal { hwm: 9, ..blank },
+            RecoveryJournal { hwm: 18, ..base },
         ];
-        for j in written {
-            assert_eq!(
-                RecoveryJournal::decode(&j.encode(0)),
-                Err(JournalDecodeError::BadLanes(0)),
-                "{j:?}"
-            );
+        for v in variants {
+            assert_ne!(base.mac_message(), v.mac_message(), "{v:?}");
         }
-        let mut smuggled = blank.encode(0);
-        smuggled[24] = 1;
-        assert_eq!(
-            RecoveryJournal::decode(&smuggled),
-            Err(JournalDecodeError::BadLanes(0))
-        );
-    }
-
-    #[test]
-    fn journal_decode_never_panics_on_noise() {
-        // Deterministic xorshift noise: decode must refuse (or accept a
-        // coincidentally-valid image) without ever panicking, at every
-        // length from empty to past-full.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..256 {
-            let len = (trial * 7) % (JOURNAL_ENC_BYTES + 32);
-            let mut bytes = vec![0u8; len];
-            for b in bytes.iter_mut() {
-                *b = rnd() as u8;
-            }
-            let _ = RecoveryJournal::decode(&bytes);
-            // Valid prefix + noisy tail: exercises every later check too.
-            if len >= JOURNAL_ENC_BYTES {
-                bytes[..4].copy_from_slice(&JOURNAL_MAGIC);
-                bytes[4] %= JOURNAL_MAX_PHASE + 1;
-                bytes[5] %= RECOVERY_LANES as u8 + 1;
-                let _ = RecoveryJournal::decode(&bytes);
-            }
-        }
+        assert_eq!(&base.mac_message()[..8], b"SNVMJRNL");
     }
 }
