@@ -1,12 +1,8 @@
-//! Minimal std-only parallel map (work-stealing-free, index-chunked).
+//! The sweep binaries' worker count, and a parallel map over
+//! [`steins_core::par::map_with`] (the workspace's one worker pool).
 //!
-//! Each simulation job is independent and long-running (seconds), so a
-//! simple shared-counter work queue over `std::thread::scope` gets the
-//! same utilization a full work-stealing pool would, without any
-//! external dependency.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! Each simulation job is independent and long-running (seconds), so one
+//! shared job cursor keeps every worker busy.
 
 /// Number of worker threads: env `STEINS_THREADS`, default = available
 /// parallelism.
@@ -30,45 +26,7 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    map_with(threads(), jobs, f)
-}
-
-/// [`map`] with an explicit worker count, bypassing `STEINS_THREADS`.
-/// Lets tests compare 1-worker vs N-worker runs of the same sweep without
-/// racing on process-global environment variables.
-pub fn map_with<T, R, F>(workers: usize, jobs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(n);
-    if workers <= 1 {
-        return jobs.into_iter().map(f).collect();
-    }
-    let jobs: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = jobs[i].lock().unwrap().take().expect("job taken once");
-                *results[i].lock().unwrap() = Some(f(job));
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.into_inner().unwrap().expect("worker filled every slot"))
-        .collect()
+    steins_core::par::map_with(threads(), jobs, f)
 }
 
 #[cfg(test)]
@@ -90,13 +48,5 @@ mod tests {
     #[test]
     fn single_job() {
         assert_eq!(map(vec![7u64], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn map_with_matches_sequential() {
-        let jobs: Vec<u64> = (0..37).collect();
-        let seq = map_with(1, jobs.clone(), |x| x * x);
-        let par = map_with(4, jobs, |x| x * x);
-        assert_eq!(seq, par);
     }
 }

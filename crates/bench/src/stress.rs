@@ -123,7 +123,7 @@ pub fn stream(mix: Mix, seed: u64, lines: u64, len: usize) -> Vec<u64> {
     }
 }
 
-/// One cell's outcome (`scaling` is filled in against the 1×1 baseline).
+/// One cell's outcome.
 #[derive(Clone, Debug)]
 pub struct Cell {
     /// Shard count.
@@ -143,19 +143,19 @@ pub struct Cell {
     pub wall_ns: u128,
 }
 
-/// Runs one cell: partitions the global stream per shard (routing order is
-/// preserved inside each shard, so the result is independent of `workers`),
-/// replays it on `workers` OS threads claiming whole-shard jobs, and folds
-/// the per-shard clocks onto `threads` model lanes.
+/// Replays one cell's stream: partitions the global stream per shard
+/// (routing order is preserved inside each shard, so the result is
+/// independent of `workers`) and replays it on `workers` OS threads
+/// claiming whole-shard jobs. Returns every shard's simulated clock, the
+/// wall-clock nanoseconds the replay took, and the engine.
 pub fn run_cell(
     cfg: &SystemConfig,
     mix: Mix,
     shards: usize,
-    threads: usize,
     ops: usize,
     seed: u64,
     workers: usize,
-) -> (Cell, ShardedEngine) {
+) -> (Vec<u64>, u128, ShardedEngine) {
     let engine = ShardedEngine::new(cfg.clone(), shards);
     let global = stream(mix, seed, cfg.data_lines, ops);
     let mut per_shard: Vec<Vec<u64>> = vec![Vec::new(); shards];
@@ -164,8 +164,8 @@ pub fn run_cell(
     }
 
     let t0 = std::time::Instant::now();
-    crate::par::map_with(workers, (0..shards).collect(), |s| {
-        for &line in &per_shard[s] {
+    steins_core::par::map_with(workers, per_shard, |lines| {
+        for line in lines {
             engine
                 .write(line * 64, &synth_data(line * 64, line))
                 .expect("stress write");
@@ -173,24 +173,10 @@ pub fn run_cell(
     });
     let wall_ns = t0.elapsed().as_nanos();
 
-    let clocks: Vec<u64> = (0..shards)
+    let clocks = (0..shards)
         .map(|s| engine.with_shard(s, |sys| sys.sim_cycles()))
         .collect();
-    let lanes = threads.min(shards).max(1);
-    let mut lane_cycles = vec![0u64; lanes];
-    for (s, &c) in clocks.iter().enumerate() {
-        lane_cycles[s % lanes] += c;
-    }
-    let cell = Cell {
-        shards,
-        threads,
-        mix,
-        makespan_cycles: lane_cycles.iter().copied().max().unwrap_or(0),
-        max_shard_cycles: clocks.iter().copied().max().unwrap_or(0),
-        scaling: 1.0,
-        wall_ns,
-    };
-    (cell, engine)
+    (clocks, wall_ns, engine)
 }
 
 /// A full grid run: cells, the gate verdict, the shard-stress metric
@@ -224,18 +210,16 @@ pub fn run_grid(cfg: &SystemConfig, sc: &StressConfig, workers: usize) -> Stress
     let mut biggest_uniform = 0usize;
 
     for &mix in &[Mix::Uniform, Mix::Zipfian] {
-        let (baseline, _) = run_cell(cfg, mix, 1, 1, sc.ops, sc.seed, workers);
-        let base_cycles = baseline.makespan_cycles.max(1);
+        let (baseline, _, _) = run_cell(cfg, mix, 1, sc.ops, sc.seed, workers);
+        let base_cycles = baseline.iter().sum::<u64>().max(1);
         for &s in &sc.shards {
             // One replay per shard count; the model lanes reuse its clocks.
-            let (proto, engine) = run_cell(cfg, mix, s, 1, sc.ops, sc.seed, workers);
+            let (clocks, wall_ns, engine) = run_cell(cfg, mix, s, sc.ops, sc.seed, workers);
             if mix == Mix::Uniform && s >= biggest_uniform {
                 biggest_uniform = s;
                 metrics = engine.report();
             }
-            let clocks: Vec<u64> = (0..s)
-                .map(|i| engine.with_shard(i, |sys| sys.sim_cycles()))
-                .collect();
+            let max_shard_cycles = clocks.iter().copied().max().unwrap_or(0);
             for &t in &sc.threads {
                 let lanes = t.min(s).max(1);
                 let mut lane_cycles = vec![0u64; lanes];
@@ -258,9 +242,9 @@ pub fn run_grid(cfg: &SystemConfig, sc: &StressConfig, workers: usize) -> Stress
                     threads: t,
                     mix,
                     makespan_cycles: makespan,
-                    max_shard_cycles: proto.max_shard_cycles,
+                    max_shard_cycles,
                     scaling,
-                    wall_ns: proto.wall_ns,
+                    wall_ns,
                 });
             }
         }

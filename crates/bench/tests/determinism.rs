@@ -5,9 +5,9 @@
 
 use std::collections::BTreeMap;
 use steins_bench::metrics::matrix_metrics;
-use steins_bench::{par, run_one, Cell};
+use steins_bench::{run_one, Cell};
 use steins_core::campaign::{CampaignConfig, CampaignReport, FaultCampaign, COMBOS};
-use steins_core::SchemeKind;
+use steins_core::{par, SchemeKind};
 use steins_metadata::CounterMode;
 use steins_trace::WorkloadKind;
 

@@ -1280,8 +1280,8 @@ fn serve_chaos_shard(
     out
 }
 
-/// Runs chaos mode: `cfg.threads` workers serve `cfg.shards` shards'
-/// schedules off a work-stealing queue while faults land mid-traffic, then
+/// Runs chaos mode: `cfg.threads` workers (at most [`par::MAX_WORKERS`])
+/// serve `cfg.shards` shards' schedules while faults land mid-traffic, then
 /// a single-threaded verification sweep re-reads every acknowledged line.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     silence_crash_trips();
@@ -1293,8 +1293,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let plans: Vec<ChaosPlan> = (0..cfg.shards)
         .map(|s| chaos_plan(cfg, s, engine.shard_config().data_lines))
         .collect();
-    let (outcomes, _steals) = par::run_regions(cfg.threads.max(1), cfg.shards, |s, _w| {
-        serve_chaos_shard(cfg, &engine, s, &plans[s])
+    let workers = cfg.threads.clamp(1, par::MAX_WORKERS);
+    let outcomes = par::map_with(workers, plans.iter().enumerate().collect(), |(s, plan)| {
+        serve_chaos_shard(cfg, &engine, s, plan)
     });
 
     let mut report = ChaosReport {

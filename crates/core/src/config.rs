@@ -44,25 +44,6 @@ impl SchemeKind {
     }
 }
 
-/// How a leaf node's counters are recovered after a crash (§V).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LeafRecovery {
-    /// Default: the encryption counter rides in the per-block MAC record
-    /// (the ECC-spare-bits substitution of DESIGN.md §2.7) — §II-D's
-    /// "store the major counter in the HMAC of the data block".
-    MacRecord,
-    /// Osiris-style (§V): no counter is stored with the data. Instead every
-    /// counter is write-through-flushed each `window` increments
-    /// (stop-loss), and recovery *probes* counters in
-    /// `[stale, stale + window]` until the data MAC verifies. The retrieved
-    /// leaves are then verified with `L0Inc`, exactly as the paper sketches
-    /// for the Osiris integration.
-    OsirisProbe {
-        /// Stop-loss window (Osiris' N).
-        window: u64,
-    },
-}
-
 /// Full system configuration.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
@@ -98,13 +79,6 @@ pub struct SystemConfig {
     /// Assumed latency to read-and-verify one metadata line during
     /// *recovery*, in nanoseconds (§IV-D: 100 ns, as in Anubis/STAR/Osiris).
     pub recovery_read_ns: f64,
-    /// Leaf-counter recovery mechanism (§V).
-    pub leaf_recovery: LeafRecovery,
-    /// Eager tree updates (§II-C): every data write updates the whole
-    /// ancestor branch instead of only the leaf. Kept as an ablation
-    /// baseline (WB only) to quantify why all evaluated schemes use the
-    /// lazy scheme.
-    pub eager_update: bool,
 }
 
 impl SystemConfig {
@@ -126,8 +100,6 @@ impl SystemConfig {
             bitmap_cache_lines: 16,
             key_seed: 0x57E_145,
             recovery_read_ns: 100.0,
-            leaf_recovery: LeafRecovery::MacRecord,
-            eager_update: false,
         }
     }
 
@@ -162,8 +134,6 @@ impl SystemConfig {
             bitmap_cache_lines: 4,
             key_seed: 0xDEC0DE,
             recovery_read_ns: 100.0,
-            leaf_recovery: LeafRecovery::MacRecord,
-            eager_update: false,
         }
     }
 
@@ -193,21 +163,6 @@ impl SystemConfig {
             "NV buffer must hold at least one 16 B entry"
         );
         assert!(self.record_cache_lines >= 1);
-        if self.eager_update {
-            assert_eq!(
-                self.scheme,
-                SchemeKind::WriteBack,
-                "eager updates are an ablation baseline for WB only"
-            );
-        }
-        if let LeafRecovery::OsirisProbe { window } = self.leaf_recovery {
-            assert!(window >= 2, "Osiris stop-loss window must be at least 2");
-            assert_eq!(
-                self.mode,
-                CounterMode::General,
-                "Osiris probing recovers plain counters; use GC mode"
-            );
-        }
     }
 }
 

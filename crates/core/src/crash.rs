@@ -24,7 +24,7 @@ use crate::shard::ShardedEngine;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, Once};
+use std::sync::Once;
 use steins_crypto::{CryptoEngine, FxHashMap};
 use steins_metadata::{CounterMode, MemoryLayout, RootNode};
 use steins_nvm::{CrashTripped, NvmDevice, PersistKind, PersistPoint};
@@ -1585,7 +1585,8 @@ impl CrashSweep {
     ) -> Result<(), PointFailure> {
         enum Region {
             Done(u64),
-            Tripped,
+            /// The inner crash tripped; carries the parked partial system.
+            Tripped(Box<SecureNvmSystem>),
             Failed(String),
         }
 
@@ -1605,25 +1606,19 @@ impl CrashSweep {
         // The inner crash is armed on the target's device only.
         crashed.nvm.arm_crash_torn(j, 0xFF);
         let mut target_img = Some(crashed);
-        let images: Vec<Mutex<Option<CrashedSystem>>> = (0..self.shards)
+        let images: Vec<(usize, CrashedSystem)> = (0..self.shards)
             .map(|s| {
-                Mutex::new(Some(if s == target {
+                let img = if s == target {
                     target_img.take().expect("one target image")
                 } else {
                     ctx.engine.crash_shard(s)
-                }))
+                };
+                (s, img)
             })
             .collect();
 
         let workers = workers.clamp(1, par::MAX_WORKERS);
-        let partials: Vec<Mutex<Option<SecureNvmSystem>>> =
-            (0..self.shards).map(|_| Mutex::new(None)).collect();
-        let (outcomes, _steals) = par::run_regions(workers, self.shards, |s, _w| {
-            let img = images[s]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("each region runs exactly once");
+        let outcomes = par::map_with(workers, images, |(s, img)| {
             let mut slot = None;
             match catch_unwind(AssertUnwindSafe(|| img.recover_into(&mut slot))) {
                 Ok(Ok(report)) => {
@@ -1642,8 +1637,7 @@ impl CrashSweep {
                     match slot.take() {
                         Some(mut partial) => {
                             partial.ctrl.nvm.disarm_crash();
-                            *partials[s].lock().unwrap() = Some(partial);
-                            Region::Tripped
+                            Region::Tripped(Box::new(partial))
                         }
                         None => Region::Failed(
                             "inner crash tripped before recovery parked the system".into(),
@@ -1653,8 +1647,8 @@ impl CrashSweep {
             }
         });
 
-        let mut target_finished = true;
-        for (s, outcome) in outcomes.iter().enumerate() {
+        let mut interrupted = None;
+        for (s, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
                 Region::Done(0) => {}
                 Region::Done(restarts) => {
@@ -1663,8 +1657,8 @@ impl CrashSweep {
                         "only the crashed worker's region may restart",
                     ));
                 }
-                Region::Tripped if s == target => target_finished = false,
-                Region::Tripped => {
+                Region::Tripped(partial) if s == target => interrupted = Some(partial),
+                Region::Tripped(_) => {
                     return Err(ctx.fail(
                         format!("inner crash armed on shard {target} tripped region {s}"),
                         "regions recover off their own devices",
@@ -1679,14 +1673,9 @@ impl CrashSweep {
             }
         }
 
-        if !target_finished {
+        if let Some(partial) = interrupted {
             // Re-crash the interrupted worker's region and recover it
             // strictly; its journal must carry the interrupted attempt.
-            let partial = partials[target]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("tripped region parks its partial");
             let crashed2 = partial.crash();
             let finished = !journal::in_progress(crashed2.nvm.recovery_journal().phase);
             match ctx.engine.recover_shard(target, crashed2) {

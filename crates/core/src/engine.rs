@@ -18,7 +18,7 @@
 //! how the paper's execution-time differences arise.
 
 use crate::cme::{xor_otp, MacRecord};
-use crate::config::{LeafRecovery, SchemeKind, SystemConfig};
+use crate::config::{SchemeKind, SystemConfig};
 use crate::error::IntegrityError;
 use crate::nvbuffer::NvBufferEntry;
 use crate::online::{OnlinePolicy, OnlineService};
@@ -593,48 +593,32 @@ impl SecureMemoryController {
                 // may run arbitrary nested evictions — the node is pinned
                 // and resident, so they see (and may even update) it; its
                 // value is re-read afterwards.
-                // Under eager updates the ancestors were already advanced
-                // at write time; the flush just reads the current value.
-                let eager = self.cfg.eager_update;
                 let pc = match self.layout.geometry.parent_of(id) {
                     None => {
                         let slot = self.layout.geometry.root_slot(id);
-                        if eager {
-                            self.root.get(slot)
-                        } else {
-                            let v = self.root.get(slot) + 1;
-                            self.root.set(slot, v);
-                            v
-                        }
+                        let v = self.root.get(slot) + 1;
+                        self.root.set(slot, v);
+                        v
                     }
                     Some((pid, slot)) => {
                         t = self.ensure_cached(t, pid)?;
                         let poff = self.layout.geometry.offset_of(pid);
-                        if eager {
-                            self.meta
-                                .peek(poff)
-                                .expect("parent just ensured")
-                                .counters
-                                .as_general()
-                                .get(slot)
-                        } else {
-                            let pre = *self.meta.peek(poff).expect("parent just ensured");
-                            let mut p = pre;
-                            p.counters.as_general_mut().increment(slot);
-                            let v = p.counters.as_general().get(slot);
-                            self.meta.write(poff, p);
-                            t = self.on_node_modified(t, poff, &pre)?;
-                            if matches!(self.cfg.scheme, SchemeKind::Star) {
-                                // Refresh the register over the incremented
-                                // parent: it rides the child's line write
-                                // below, which is the persist event making
-                                // the increment reconstructible (the child's
-                                // counter LSBs carry it).
-                                let pset = self.meta.set_index(poff);
-                                t = self.star_tree_update(t, pset);
-                            }
-                            v
+                        let pre = *self.meta.peek(poff).expect("parent just ensured");
+                        let mut p = pre;
+                        p.counters.as_general_mut().increment(slot);
+                        let v = p.counters.as_general().get(slot);
+                        self.meta.write(poff, p);
+                        t = self.on_node_modified(t, poff, &pre)?;
+                        if matches!(self.cfg.scheme, SchemeKind::Star) {
+                            // Refresh the register over the incremented
+                            // parent: it rides the child's line write below,
+                            // which is the persist event making the
+                            // increment reconstructible (the child's counter
+                            // LSBs carry it).
+                            let pset = self.meta.set_index(poff);
+                            t = self.star_tree_update(t, pset);
                         }
+                        v
                     }
                 };
                 let mut node = *self.meta.peek(offset).expect("flush target resident");
@@ -878,32 +862,6 @@ impl SecureMemoryController {
         Ok(true)
     }
 
-    /// Eager update (§II-C, ablation): advance every ancestor's counter for
-    /// the written branch, fetching missing ancestors on the critical path —
-    /// the cost the lazy scheme exists to avoid.
-    fn eager_propagate(&mut self, mut t: Cycle, leaf: NodeId) -> Result<Cycle, IntegrityError> {
-        let mut child = leaf;
-        while let Some((pid, slot)) = self.layout.geometry.parent_of(child) {
-            t = self.ensure_cached(t, pid)?;
-            let poff = self.layout.geometry.offset_of(pid);
-            let pre = *self.meta.peek(poff).expect("ancestor just ensured");
-            let mut p = pre;
-            p.counters.as_general_mut().increment(slot);
-            self.meta.write(poff, p);
-            t = self.on_node_modified(t, poff, &pre)?;
-            if matches!(self.cfg.scheme, SchemeKind::Star) {
-                // Eager ablation: refresh immediately (recovery is not
-                // modeled crash-consistent under eager updates).
-                let set = self.meta.set_index(poff);
-                t = self.star_tree_update(t, set);
-            }
-            child = pid;
-        }
-        let slot = self.layout.geometry.root_slot(child);
-        self.root.set(slot, self.root.get(slot) + 1);
-        Ok(t)
-    }
-
     /// Secure write of one 64 B user line (LLC write-back or flush, §III-F).
     /// Returns the cycle the controller front-end is free again.
     pub fn write_data(
@@ -942,9 +900,6 @@ impl SecureMemoryController {
         let pv_after = leaf.counters.parent_value();
         self.meta.write(loff, leaf);
         t = self.on_node_modified(t, loff, &pre_leaf)?;
-        if self.cfg.eager_update {
-            t = self.eager_propagate(t, leaf_id)?;
-        }
         if let Some((old_major, old_minors)) = reenc {
             t = self.reencrypt_leaf(t, leaf_id, old_major, &old_minors, major, dline)?;
         }
@@ -955,11 +910,7 @@ impl SecureMemoryController {
         self.energy.hashes += 1;
         let mac = self.crypto.data_mac(addr, &line, major, minor);
         t += self.cfg.hash_latency;
-        let recovery = match self.cfg.leaf_recovery {
-            // Osiris keeps no counter beside the data; recovery probes.
-            LeafRecovery::OsirisProbe { .. } => 0,
-            LeafRecovery::MacRecord => MacRecord::pack_recovery(major, minor),
-        };
+        let recovery = MacRecord::pack_recovery(major, minor);
         // The L0Inc bump must ride atomically with the write that makes the
         // counter increment durable (the data line + its MacRecord, below):
         // register updates emit no persist event, so placing the bump here —
@@ -980,13 +931,6 @@ impl SecureMemoryController {
         }
         self.set_mac_record(dline, MacRecord { mac, recovery });
         t = self.wq.push(t, addr, &line, &mut self.nvm);
-        // Osiris stop-loss (§V): every `window` increments, write the leaf
-        // through so the post-crash probe distance stays bounded.
-        if let LeafRecovery::OsirisProbe { window } = self.cfg.leaf_recovery {
-            if major % window == 0 && self.meta.is_dirty(loff) {
-                t = self.flush_in_place(t, loff)?;
-            }
-        }
         self.front_free = t;
         self.wlat.record(arrival, t);
         Ok(t)
@@ -1637,34 +1581,6 @@ mod tests {
         );
         let got = sys.read(0).unwrap();
         assert_eq!(u64::from_le_bytes(got[..8].try_into().unwrap()), 69);
-    }
-
-    #[test]
-    fn eager_update_works_and_costs_more() {
-        let run = |eager: bool| {
-            let mut cfg =
-                SystemConfig::small_for_tests(SchemeKind::WriteBack, CounterMode::General);
-            cfg.eager_update = eager;
-            let mut sys = SecureNvmSystem::new(cfg);
-            for i in 0..400u64 {
-                sys.write((i * 13 % 1024) * 64, &[i as u8; 64]).unwrap();
-            }
-            for i in (0..1024u64).step_by(31) {
-                let _ = sys.read(i * 64).unwrap();
-            }
-            sys.report()
-        };
-        let lazy = run(false);
-        let eager = run(true);
-        // Functional behaviour is identical (the in-run truth asserts cover
-        // it); the cost signature differs: eager touches every ancestor on
-        // every write, so its metadata-cache activity is far higher.
-        assert!(
-            eager.energy_events.cache_accesses > lazy.energy_events.cache_accesses * 5 / 4,
-            "eager {} vs lazy {} metadata-cache accesses",
-            eager.energy_events.cache_accesses,
-            lazy.energy_events.cache_accesses
-        );
     }
 
     #[test]

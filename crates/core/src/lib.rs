@@ -25,8 +25,8 @@
 //!   that injects them under live multi-shard serving traffic.
 //! * [`online`] — the online integrity service: incremental background
 //!   scrub, epoch re-encryption, wear rotation, quarantine, and alarms.
-//! * [`par`] — the work-stealing region queue and deterministic lane
-//!   folding behind parallel recovery (see [`shard::ParallelRecovery`]).
+//! * [`par`] — the worker pool and the deterministic lane folding behind
+//!   parallel recovery (see [`shard::ParallelRecovery`]).
 //! * [`cme`], [`linc`], [`nvbuffer`], [`cachetree`] — building blocks.
 //! * [`bmt`] — the Bonsai-Merkle-Tree baseline of §II-C, quantifying why
 //!   the paper (and this engine) build on the SIT instead.

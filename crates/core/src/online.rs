@@ -47,7 +47,6 @@ use steins_nvm::RecoveryJournal;
 use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 
 use crate::cme::MacRecord;
-use crate::config::LeafRecovery;
 use crate::engine::SecureNvmSystem;
 use crate::recovery::journal;
 
@@ -88,8 +87,7 @@ impl Default for OnlinePolicy {
 /// How one line's background verification resolved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LineVerdict {
-    /// Never written, already quarantined, or counter mode carries no
-    /// per-line record to check (Osiris probing is a recovery-only path).
+    /// Never written or already quarantined.
     Skipped,
     /// Readable and the data MAC verified.
     Verified,
@@ -321,22 +319,15 @@ impl OnlineService {
         if rec == MacRecord::default() && ct == [0u8; 64] {
             return LineVerdict::Skipped; // never-written: defined zeros
         }
-        match sys.cfg.leaf_recovery {
-            LeafRecovery::MacRecord => {
-                let (major, minor) = MacRecord::unpack_recovery(rec.recovery);
-                if sys.ctrl.data_mac_probe(daddr, &ct, major, minor) == rec.mac {
-                    self.verified += 1;
-                    LineVerdict::Verified
-                } else {
-                    let shard = sys.ctrl.nvm.shard();
-                    let cycle = sys.sim_cycles();
-                    self.quarantine_line(AlarmKind::MacMismatch, shard, daddr, cycle);
-                    LineVerdict::Mismatch
-                }
-            }
-            // Osiris keeps no counter beside the data; its probe is a
-            // recovery-time protocol. Online, the scrub is readability-only.
-            LeafRecovery::OsirisProbe { .. } => LineVerdict::Skipped,
+        let (major, minor) = MacRecord::unpack_recovery(rec.recovery);
+        if sys.ctrl.data_mac_probe(daddr, &ct, major, minor) == rec.mac {
+            self.verified += 1;
+            LineVerdict::Verified
+        } else {
+            let shard = sys.ctrl.nvm.shard();
+            let cycle = sys.sim_cycles();
+            self.quarantine_line(AlarmKind::MacMismatch, shard, daddr, cycle);
+            LineVerdict::Mismatch
         }
     }
 
@@ -346,10 +337,7 @@ impl OnlineService {
     /// Any sibling that fails verification is quarantined instead (and
     /// vetoes the sweep — re-encrypting it would launder garbage).
     fn maybe_epoch_sweep(&mut self, sys: &mut SecureNvmSystem, d: u64) {
-        if self.policy.epoch_threshold == u64::MAX
-            || sys.cfg.mode != CounterMode::Split
-            || !matches!(sys.cfg.leaf_recovery, LeafRecovery::MacRecord)
-        {
+        if self.policy.epoch_threshold == u64::MAX || sys.cfg.mode != CounterMode::Split {
             return;
         }
         let rec = sys.ctrl.data_mac_record(d);

@@ -1,26 +1,22 @@
-//! Work-stealing execution and deterministic lane folding for parallel
-//! recovery across shards.
+//! The worker pool and deterministic lane folding for parallel recovery
+//! across shards.
 //!
 //! Recovery parallelism in this codebase has two halves with different
 //! determinism requirements:
 //!
-//! * **Execution** — independent regions (one crashed shard each) really
-//!   do run on OS threads; inside a shard, recovery is one serial rebuild.
-//!   [`StealQueue`] is a chunked work queue in the chase-lev mold: every
-//!   worker owns a contiguous interval of the job index space packed into
-//!   one `AtomicU64`, pops its own front with a single CAS, and when
-//!   drained steals the *back half* of a victim's remaining interval with
-//!   another single CAS. No locks, no ABA (intervals only ever shrink or
-//!   move wholesale, and a drained interval is never re-grown by anyone
-//!   but its owner installing a fresh steal).
+//! * **Execution** — independent jobs (one crashed shard each, or one
+//!   figure-sweep cell) really do run on OS threads; inside a shard,
+//!   recovery is one serial rebuild. [`map_with`] is the one worker pool:
+//!   workers claim jobs off a single shared `AtomicUsize` cursor, which is
+//!   all the balancing a handful of coarse jobs needs.
 //! * **Reporting** — every exported number must be byte-identical no matter
 //!   how many threads the host actually ran. [`fold_lanes`] therefore
 //!   *models* the parallel schedule: per-region costs are assigned to
-//!   `lanes` modeled workers longest-processing-time-first (the balance an
-//!   idle-stealing scheduler converges to), and the makespan is the max
-//!   lane. Real thread count affects wall clock only.
+//!   `lanes` modeled workers longest-processing-time-first (the balance a
+//!   greedy list scheduler reaches), and the makespan is the max lane.
+//!   Real thread count affects wall clock only.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Hard cap on recovery worker threads.
@@ -29,8 +25,8 @@ pub const MAX_WORKERS: usize = 8;
 /// Deterministic longest-processing-time-first fold of per-region costs
 /// onto `lanes` modeled workers: regions sorted by descending cost (index
 /// tiebreak) each go to the currently least-loaded lane (lowest index
-/// tiebreak). Returns the per-lane load sums. This is the schedule an
-/// idle-stealing worker pool converges to, computed without running one —
+/// tiebreak). Returns the per-lane load sums. This is the schedule of a
+/// pool that hands out the longest job first, computed without running one —
 /// the folded numbers are byte-identical regardless of host parallelism.
 pub fn fold_lanes(costs: &[u64], lanes: usize) -> Vec<u64> {
     let lanes = lanes.max(1);
@@ -51,182 +47,72 @@ pub fn makespan(costs: &[u64], lanes: usize) -> u64 {
     fold_lanes(costs, lanes).into_iter().max().unwrap_or(0)
 }
 
-/// Packs a half-open job interval `[next, end)` into one atomic word.
-fn pack(next: u32, end: u32) -> u64 {
-    (u64::from(next) << 32) | u64::from(end)
-}
-
-fn unpack(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, word as u32)
-}
-
-/// Chunked work-stealing queue over the job index space `0..jobs`.
+/// Applies `f` to every job on up to `workers` OS threads, returning the
+/// results in job order. Workers claim jobs off one shared cursor; one
+/// worker (or one job) runs inline on the calling thread. `f` must be
+/// independent across jobs, so results do not depend on which thread ran
+/// which job.
 ///
-/// Construction deals each worker a contiguous interval of
-/// `ceil(jobs / workers)` indices. `next(w)` pops worker `w`'s own front;
-/// once drained, `w` scans the other lanes and steals the back half of the
-/// largest-remaining victim interval. Both operations are single-word CAS.
-pub struct StealQueue {
-    lanes: Vec<AtomicU64>,
-    steals: AtomicU64,
-}
-
-impl StealQueue {
-    /// Deals `jobs` indices across `workers` lanes as contiguous chunks.
-    pub fn new(jobs: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        assert!(jobs <= u32::MAX as usize, "job space fits u32 packing");
-        let chunk = if jobs == 0 { 0 } else { jobs.div_ceil(workers) };
-        let lanes = (0..workers)
-            .map(|w| {
-                let s = (w * chunk).min(jobs) as u32;
-                let e = ((w + 1) * chunk).min(jobs) as u32;
-                AtomicU64::new(pack(s, e))
-            })
-            .collect();
-        StealQueue {
-            lanes,
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    /// Next job index for worker `w`: own front first, then a steal.
-    /// `None` once the whole queue is drained.
-    pub fn next(&self, w: usize) -> Option<usize> {
-        if let Some(j) = self.pop_own(w) {
-            return Some(j);
-        }
-        self.steal(w)
-    }
-
-    fn pop_own(&self, w: usize) -> Option<usize> {
-        let lane = &self.lanes[w];
-        loop {
-            let cur = lane.load(Ordering::Acquire);
-            let (next, end) = unpack(cur);
-            if next >= end {
-                return None;
-            }
-            if lane
-                .compare_exchange_weak(
-                    cur,
-                    pack(next + 1, end),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                return Some(next as usize);
-            }
-        }
-    }
-
-    /// Steals the back half of the victim with the most remaining work.
-    /// The first stolen index is returned for immediate execution; the
-    /// rest (if any) is installed as the thief's new interval.
-    fn steal(&self, thief: usize) -> Option<usize> {
-        loop {
-            // Pick the currently largest victim; retry from scratch on any
-            // CAS race (another thief or the owner moved the interval).
-            let mut best: Option<(usize, u64, u32)> = None;
-            for (v, lane) in self.lanes.iter().enumerate() {
-                if v == thief {
-                    continue;
-                }
-                let cur = lane.load(Ordering::Acquire);
-                let (next, end) = unpack(cur);
-                let rem = end.saturating_sub(next);
-                if rem > best.map_or(0, |(_, _, r)| r) {
-                    best = Some((v, cur, rem));
-                }
-            }
-            let (victim, cur, rem) = best?;
-            let (next, end) = unpack(cur);
-            let take = rem.div_ceil(2);
-            let split = end - take;
-            if self.lanes[victim]
-                .compare_exchange(cur, pack(next, split), Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            self.steals.fetch_add(1, Ordering::Relaxed);
-            // The stolen span [split, end) is now privately owned. Keep its
-            // first index, park the rest in our own (drained) lane. Nobody
-            // else writes a drained lane, so a plain store is safe.
-            if take > 1 {
-                self.lanes[thief].store(pack(split + 1, end), Ordering::Release);
-            }
-            return Some(split as usize);
-        }
-    }
-
-    /// Successful steals so far (wall-side diagnostics only — scheduling-
-    /// dependent, never exported into deterministic artifacts).
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-}
-
-/// Runs `jobs` independent region jobs on `workers` OS threads driving a
-/// [`StealQueue`], returning the per-job results in job order plus the
-/// steal count. `f(job, worker)` must be independent across jobs — results
-/// are deterministic in `job` regardless of which worker ran it. Panics in
-/// `f` (e.g. an armed [`steins_nvm::CrashTripped`] inside one region's
-/// recovery) propagate after all workers have drained or parked.
-pub fn run_regions<T, F>(workers: usize, jobs: usize, f: F) -> (Vec<T>, u64)
+/// A panic in `f` (e.g. an armed [`steins_nvm::CrashTripped`] inside one
+/// region's recovery) is re-raised with its original payload, from the
+/// first panicked worker, after every worker has stopped.
+pub fn map_with<T, R, F>(workers: usize, jobs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
-    F: Fn(usize, usize) -> T + Sync,
+    R: Send,
+    F: Fn(T) -> R + Sync,
 {
-    let workers = workers.clamp(1, MAX_WORKERS).min(jobs.max(1));
-    let queue = StealQueue::new(jobs, workers);
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let n = jobs.len();
+    let workers = workers.clamp(1, n.max(1));
     if workers == 1 {
-        // Inline fast path: no threads for the serial case.
-        while let Some(j) = queue.next(0) {
-            *slots[j].lock().unwrap() = Some(f(j, 0));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queue = &queue;
-                    let slots = &slots;
-                    let f = &f;
-                    scope.spawn(move || {
-                        while let Some(j) = queue.next(w) {
-                            *slots[j].lock().unwrap() = Some(f(j, w));
-                        }
-                    })
-                })
-                .collect();
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for h in handles {
-                if let Err(p) = h.join() {
-                    panic.get_or_insert(p);
-                }
-            }
-            if let Some(p) = panic {
-                std::panic::resume_unwind(p);
-            }
-        });
+        return jobs.into_iter().map(f).collect();
     }
-    let results = slots
+    let jobs: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    // The cursor only hands out indices; jobs and results
+                    // travel through their mutexes.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    // No job runs under a lock, so neither mutex can be
+                    // poisoned by a panicking region.
+                    let job = jobs[i].lock().expect("unpoisoned").take();
+                    let r = f(job.expect("each job is claimed once"));
+                    *results[i].lock().expect("unpoisoned") = Some(r);
+                })
+            })
+            .collect();
+        // Join by hand: letting the scope propagate a worker's panic would
+        // replace its payload with a generic one.
+        let mut panic = None;
+        for h in handles {
+            if let Err(p) = h.join() {
+                panic.get_or_insert(p);
+            }
+        }
+        if let Some(p) = panic {
+            std::panic::resume_unwind(p);
+        }
+    });
+    results
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("drained queue visited every job")
+        .map(|r| {
+            r.into_inner()
+                .expect("unpoisoned")
+                .expect("workers ran every job")
         })
-        .collect();
-    (results, queue.steals())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn fold_lanes_is_deterministic_and_balanced() {
@@ -244,45 +130,34 @@ mod tests {
     }
 
     #[test]
-    fn steal_queue_visits_every_job_exactly_once() {
-        for (jobs, workers) in [(0usize, 4usize), (1, 4), (5, 2), (64, 4), (257, 8)] {
-            let q = StealQueue::new(jobs, workers);
-            let mut seen = HashSet::new();
-            // Serial drive through all workers round-robin, exercising the
-            // steal path once lanes drain unevenly.
-            let mut w = 0;
-            while let Some(j) = q.next(w) {
-                assert!(seen.insert(j), "job {j} dealt twice");
-                w = (w + 1) % workers;
-            }
-            assert_eq!(seen.len(), jobs);
-            for extra in 0..workers {
-                assert_eq!(q.next(extra), None, "drained queue stays drained");
-            }
-        }
-    }
-
-    #[test]
-    fn run_regions_returns_results_in_job_order() {
+    fn map_with_returns_results_in_job_order() {
         for workers in [1usize, 2, 4, 8] {
-            let (out, _) = run_regions(workers, 37, |j, _w| j * j);
+            let out = map_with(workers, (0..37).collect(), |j: usize| j * j);
             assert_eq!(out, (0..37).map(|j| j * j).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn run_regions_contended_threads_cover_all_jobs() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    fn map_with_matches_sequential() {
+        let jobs: Vec<u64> = (0..37).collect();
+        let seq = map_with(1, jobs.clone(), |x| x * x);
+        let par = map_with(4, jobs, |x| x * x);
+        assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn map_with_contended_threads_cover_all_jobs() {
+        use std::sync::atomic::AtomicU64;
         let hits = AtomicU64::new(0);
-        let (out, _steals) = run_regions(4, 200, |j, _w| {
+        let out = map_with(4, (0..200u64).collect(), |j| {
             hits.fetch_add(1, Ordering::Relaxed);
-            // Skewed job costs force steals from the heavy front lanes.
+            // Skewed job costs keep the light tail contended.
             let spin = if j < 50 { 2000 } else { 10 };
-            let mut acc = j as u64;
+            let mut acc = j;
             for i in 0..spin {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
             }
-            (j as u64, acc)
+            (j, acc)
         });
         assert_eq!(hits.load(Ordering::Relaxed), 200);
         for (j, (got, _)) in out.iter().enumerate() {
@@ -291,15 +166,22 @@ mod tests {
     }
 
     #[test]
-    fn run_regions_propagates_region_panics() {
-        let r = std::panic::catch_unwind(|| {
-            run_regions(4, 16, |j, _w| {
-                if j == 11 {
-                    panic!("region 11 tripped");
-                }
-                j
-            })
-        });
-        assert!(r.is_err(), "a tripped region must unwind the pool");
+    fn map_with_reraises_the_original_panic_payload() {
+        for workers in [1usize, 4] {
+            let r = std::panic::catch_unwind(|| {
+                map_with(workers, (0..16).collect(), |j: usize| {
+                    if j == 11 {
+                        panic!("region {j} tripped");
+                    }
+                    j
+                })
+            });
+            let payload = r.expect_err("a tripped region must unwind the pool");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("region 11 tripped"),
+                "{workers} workers: the caller sees the region's own payload"
+            );
+        }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::cachetree::CacheTree;
 use crate::cme::MacRecord;
-use crate::config::{LeafRecovery, SchemeKind};
+use crate::config::SchemeKind;
 use crate::crash::{CrashedSystem, NvState};
 use crate::engine::SecureNvmSystem;
 use crate::error::IntegrityError;
@@ -287,33 +287,6 @@ impl CrashedSystem {
         stale: &SitNode,
     ) -> Result<SitNode, IntegrityError> {
         let geo = &self.layout.geometry;
-        // Osiris-style probing (§V): no counter stored with the data; walk
-        // counters from the stale value up to the stop-loss window until the
-        // data MAC verifies. The retrieved leaves are then covered by the
-        // usual L0Inc check.
-        if let LeafRecovery::OsirisProbe { window } = self.cfg.leaf_recovery {
-            let mut g = *stale.counters.as_general();
-            for (j, d) in geo.data_of_leaf(id).into_iter().enumerate() {
-                let rec = self.mac_record(d);
-                *rd += 1;
-                let addr = self.layout.data_base + d * 64;
-                let data = self.nvm.peek(addr);
-                if rec == MacRecord::default() && data == [0u8; 64] {
-                    continue;
-                }
-                let c0 = g.get(j);
-                let found = (c0..=c0 + window)
-                    .find(|&c| self.crypto.data_mac(addr, &data, c, 0) == rec.mac);
-                match found {
-                    Some(c) => g.set(j, c),
-                    None => return Err(IntegrityError::DataMac { addr }),
-                }
-            }
-            return Ok(SitNode {
-                counters: CounterBlock::General(g),
-                hmac: stale.hmac,
-            });
-        }
         match self.cfg.mode {
             CounterMode::General => {
                 let mut g = *stale.counters.as_general();
@@ -1163,46 +1136,6 @@ mod tests {
         for (addr, data) in expected {
             assert_eq!(recovered.read(addr).unwrap(), data, "addr {addr:#x}");
         }
-    }
-
-    #[test]
-    fn osiris_leaf_recovery_roundtrip() {
-        use crate::config::LeafRecovery;
-        let mut cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
-        cfg.leaf_recovery = LeafRecovery::OsirisProbe { window: 8 };
-        let mut sys = SecureNvmSystem::new(cfg);
-        let mut expected = Vec::new();
-        for i in 0..250u64 {
-            // Hot lines so counters advance several times between flushes.
-            let addr = (i % 40) * 64;
-            let mut data = [0u8; 64];
-            data[..8].copy_from_slice(&i.to_le_bytes());
-            sys.write(addr, &data).unwrap();
-            expected.retain(|(a, _)| *a != addr);
-            expected.push((addr, data));
-        }
-        let (mut recovered, report) = sys.crash().recover().expect("osiris recovery verifies");
-        assert!(report.nvm_reads > 0);
-        for (addr, data) in expected {
-            assert_eq!(recovered.read(addr).unwrap(), data, "addr {addr:#x}");
-        }
-    }
-
-    #[test]
-    fn osiris_tampered_data_fails_probe() {
-        use crate::config::LeafRecovery;
-        let mut cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
-        cfg.leaf_recovery = LeafRecovery::OsirisProbe { window: 8 };
-        let mut sys = SecureNvmSystem::new(cfg);
-        for i in 0..100u64 {
-            sys.write((i % 30) * 64, &[i as u8; 64]).unwrap();
-        }
-        let mut crashed = sys.crash();
-        crashed.tamper_data(3);
-        assert!(
-            crashed.recover().is_err(),
-            "no probed counter may authenticate tampered data"
-        );
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! callers pick per §III-H threat model.
 
 use crate::cme::MacRecord;
-use crate::config::{LeafRecovery, SchemeKind};
+use crate::config::SchemeKind;
 use crate::crash::CrashedSystem;
 use crate::engine::SecureNvmSystem;
 use crate::scheme::star;
@@ -234,10 +234,10 @@ impl CrashedSystem {
         for index in 0..geo.nodes_at(0) {
             let id = NodeId { level: 0, index };
             let off = geo.offset_of(id);
+            // The stale leaf line is read (and charged) as recovery reads
+            // it, but its counters are rebuilt from the data plane alone.
             reads += 1;
-            let stale =
-                SitNode::from_line(self.cfg.mode, 0, &self.nvm.peek(self.layout.node_addr(off)));
-            nodes[off as usize] = self.scrub_leaf(&mut reads, id, &stale, &mut report);
+            nodes[off as usize] = self.scrub_leaf(&mut reads, id, &mut report);
         }
 
         if !self.recoverable() {
@@ -390,19 +390,13 @@ impl CrashedSystem {
 
     /// Rebuilds one leaf from the data plane, recording verdicts. Total on
     /// arbitrary record/data bytes.
-    fn scrub_leaf(
-        &mut self,
-        reads: &mut u64,
-        id: NodeId,
-        stale: &SitNode,
-        report: &mut ScrubReport,
-    ) -> SitNode {
+    fn scrub_leaf(&mut self, reads: &mut u64, id: NodeId, report: &mut ScrubReport) -> SitNode {
         let geo = self.layout.geometry.clone();
         let outcomes: Vec<(usize, u64, DataOutcome)> = geo
             .data_of_leaf(id)
             .into_iter()
             .enumerate()
-            .map(|(j, d)| (j, d, self.scrub_data_line(reads, j, d, stale)))
+            .map(|(j, d)| (j, d, self.scrub_data_line(reads, d)))
             .collect();
         let mut unrecoverable = Vec::new();
         for (_, d, o) in &outcomes {
@@ -457,13 +451,7 @@ impl CrashedSystem {
     }
 
     /// Classifies one data line against its MAC record.
-    fn scrub_data_line(
-        &self,
-        reads: &mut u64,
-        slot: usize,
-        data_line: u64,
-        stale_leaf: &SitNode,
-    ) -> DataOutcome {
+    fn scrub_data_line(&self, reads: &mut u64, data_line: u64) -> DataOutcome {
         let (laddr, byte) = self.layout.mac_slot(data_line);
         *reads += 1;
         let rec = MacRecord::read_slot(&self.nvm.peek(laddr), byte / 16);
@@ -472,17 +460,6 @@ impl CrashedSystem {
         let data = self.nvm.peek(addr);
         if rec == MacRecord::default() && data == [0u8; 64] {
             return DataOutcome::Untouched;
-        }
-        if let LeafRecovery::OsirisProbe { window } = self.cfg.leaf_recovery {
-            // No counter stored with the data: probe from the (untrusted,
-            // totally-decoded) stale leaf value up to the stop-loss window.
-            let c0 = stale_leaf.counters.as_general().get(slot);
-            return match (c0..=c0.saturating_add(window))
-                .find(|&c| self.crypto.data_mac(addr, &data, c, 0) == rec.mac)
-            {
-                Some(c) => DataOutcome::Verified { major: c, minor: 0 },
-                None => DataOutcome::Bad { major: c0 },
-            };
         }
         let (major, minor) = MacRecord::unpack_recovery(rec.recovery);
         if self.crypto.data_mac(addr, &data, major, minor) == rec.mac {

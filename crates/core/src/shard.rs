@@ -706,39 +706,29 @@ impl ShardedEngine {
     }
 
     /// Runs `job` once per shard on that shard's crashed image, as
-    /// independent region jobs on a work-stealing queue served by
-    /// `workers` threads. Returns the results in shard order and the
-    /// wall-side steal count.
+    /// independent region jobs on `workers` threads ([`par::map_with`]).
+    /// Returns the results in shard order.
     fn per_image<T: Send>(
         &self,
         crashed: Vec<CrashedSystem>,
         workers: usize,
         job: impl Fn(usize, CrashedSystem) -> T + Sync,
-    ) -> (Vec<T>, u64) {
+    ) -> Vec<T> {
         assert_eq!(crashed.len(), self.shards(), "one crashed image per shard");
-        let images: Vec<Mutex<Option<CrashedSystem>>> =
-            crashed.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        par::run_regions(workers, images.len(), |s, _w| {
-            let img = images[s]
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .take()
-                .expect("each region runs exactly once");
-            job(s, img)
-        })
+        let images = crashed.into_iter().enumerate().collect();
+        par::map_with(workers, images, |(s, img)| job(s, img))
     }
 
     /// Recovers the whole engine in parallel: the per-shard crashed images
-    /// are independent region jobs on a work-stealing queue served by
-    /// `workers` threads (clamped to [`par::MAX_WORKERS`]). Each region
-    /// recovers serially off its own ADR journal line and reinstates itself
-    /// into its slot as soon as it finishes.
+    /// are independent region jobs on `workers` threads (clamped to
+    /// [`par::MAX_WORKERS`]). Each region recovers serially off its own ADR
+    /// journal line and reinstates itself into its slot as soon as it
+    /// finishes.
     ///
-    /// Determinism: every number in the returned [`ParallelRecovery`]
-    /// except `steals` is computed from the per-shard reports and the
-    /// *modeled* lane fold ([`par::fold_lanes`]) — byte-identical no matter
-    /// how the host actually schedules the worker threads. `steals` is the
-    /// wall-side steal count and is deliberately kept out of `metrics`.
+    /// Determinism: every number in the returned [`ParallelRecovery`] is
+    /// computed from the per-shard reports and the *modeled* lane fold
+    /// ([`par::fold_lanes`]) — byte-identical no matter how the host
+    /// actually schedules the worker threads.
     ///
     /// On the first per-shard error the whole call errors; regions that
     /// already recovered stay installed and the failing slot stays empty
@@ -749,8 +739,7 @@ impl ShardedEngine {
         workers: usize,
     ) -> Result<ParallelRecovery, IntegrityError> {
         let workers = workers.clamp(1, par::MAX_WORKERS);
-        let (results, steals) =
-            self.per_image(crashed, workers, |s, img| self.recover_shard(s, img));
+        let results = self.per_image(crashed, workers, |s, img| self.recover_shard(s, img));
         let mut reports = Vec::with_capacity(results.len());
         for r in results {
             reports.push(r?);
@@ -775,7 +764,7 @@ impl ShardedEngine {
             workers,
             total_reads,
             makespan_reads,
-            steals,
+            steals: 0,
             metrics,
         })
     }
@@ -791,8 +780,7 @@ impl ShardedEngine {
         workers: usize,
     ) -> (Vec<ScrubReport>, ScrubReport) {
         let workers = workers.clamp(1, par::MAX_WORKERS);
-        let (reports, _steals) =
-            self.per_image(crashed, workers, |s, img| self.scrub_shard(s, img));
+        let reports = self.per_image(crashed, workers, |s, img| self.scrub_shard(s, img));
         let mut merged = ScrubReport::empty(reports[0].scheme.clone(), 0, 0);
         for (s, r) in reports.iter().enumerate() {
             let mut global = r.clone();
@@ -809,11 +797,9 @@ impl ShardedEngine {
 
 /// Outcome of a whole-engine parallel recovery ([`ShardedEngine::recover_all`]).
 ///
-/// Everything here except `steals` is a pure function of the per-shard
-/// recovery reports and the requested worker count — the quantities the
-/// recovery ladder's scaling gate and its byte-identical JSON artifact are
-/// built from. `steals` reflects the host's actual thread interleaving and
-/// must never be exported.
+/// Everything here is a pure function of the per-shard recovery reports and
+/// the requested worker count — the quantities the recovery ladder's
+/// scaling gate and its byte-identical JSON artifact are built from.
 pub struct ParallelRecovery {
     /// Per-shard recovery reports, in shard order.
     pub reports: Vec<RecoveryReport>,
@@ -824,8 +810,9 @@ pub struct ParallelRecovery {
     /// Modeled makespan: the busiest lane's reads after the deterministic
     /// LPT fold of per-region costs onto `workers` lanes.
     pub makespan_reads: u64,
-    /// Work-stealing events observed on the wall-side queue. Varies with
-    /// host scheduling; excluded from `metrics` by design.
+    /// Always 0: the worker pool no longer steals. Kept only because the
+    /// benchmark still exports it as `par.steals`; the next change to the
+    /// benchmark drops both.
     pub steals: u64,
     /// Folded registry: per-region `shard.NN.` prefixes, the unprefixed
     /// aggregate, `core.par.*` fold results, and per-lane `par.lane.NN.reads`.

@@ -15,7 +15,6 @@
 //!   written to the journal.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 use steins_core::recovery::journal;
 use steins_core::{
@@ -264,14 +263,7 @@ fn interrupt_then_resume_across_workers(
     let engine = dirty_engine(scheme);
     let mut images = engine.crash_all();
     images[TARGET].nvm_mut().arm_crash_torn(j, 0xFF);
-    let images: Vec<Mutex<Option<CrashedSystem>>> =
-        images.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let (outcomes, _steals) = par::run_regions(first, SHARDS, |s, _w| {
-        let img = images[s]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("each region runs exactly once");
+    let outcomes = par::map_with(first, images, |img| {
         let mut slot = None;
         let outcome = catch_unwind(AssertUnwindSafe(|| img.recover_into(&mut slot)));
         (outcome, slot)

@@ -2,7 +2,6 @@
 //! scheme actually persists while running — the observable difference
 //! between WB, ASIT, STAR and Steins.
 
-use steins_core::config::LeafRecovery;
 use steins_core::{CounterMode, SchemeKind, SecureNvmSystem, SystemConfig};
 
 fn sys(scheme: SchemeKind, mode: CounterMode) -> SecureNvmSystem {
@@ -87,21 +86,6 @@ fn steins_nv_buffer_bounded_by_config() {
     }
     let (mut rec, _) = s.crash().recover().expect("recovery verifies");
     let _ = rec.read(0).unwrap();
-}
-
-#[test]
-fn osiris_mode_stores_no_counters_with_data() {
-    let mut cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
-    cfg.leaf_recovery = LeafRecovery::OsirisProbe { window: 8 };
-    let mut s = SecureNvmSystem::new(cfg);
-    for i in 0..50u64 {
-        s.write((i % 20) * 64, &[i as u8; 64]).unwrap();
-    }
-    for line in 0..20u64 {
-        let rec = s.ctrl.data_mac_record(line);
-        assert_eq!(rec.recovery, 0, "Osiris mode must not persist counters");
-        assert_ne!(rec.mac, 0, "MAC still stored");
-    }
 }
 
 #[test]

@@ -696,6 +696,39 @@ mod tests {
     }
 
     #[test]
+    fn mean_read_latency_stays_within_the_timing_set() {
+        // A seeded random mix of reads and writes, spaced above per-bank
+        // service demand so the device runs in the stable queueing regime:
+        // the mean read can beat neither a row hit nor exceed three row
+        // misses' worth of queueing.
+        let mut d = dev();
+        let mut now = 0u64;
+        let mut s = 12345u64;
+        for _ in 0..500 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let addr = (s % 4096) * 64;
+            if s & 1 == 0 {
+                d.read(now, addr);
+            } else {
+                d.write(now, addr, &[0; 64]);
+            }
+            now += 400;
+        }
+        let t = NvmTimings::default();
+        let (lo, hi) = (
+            t.read_cycles(true) as f64,
+            3.0 * t.read_cycles(false) as f64,
+        );
+        let mean = d.stats().avg_read_cycles();
+        assert!(
+            (lo..=hi).contains(&mean),
+            "mean read {mean:.1} cycles outside [{lo}, {hi}]"
+        );
+    }
+
+    #[test]
     fn row_buffer_hit_faster_than_miss() {
         let mut d = dev();
         // Two reads in the same row, same bank: second should be a hit.

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adr;
-pub mod command;
 pub mod config;
 pub mod device;
 pub mod energy;
@@ -33,7 +32,6 @@ pub mod wear;
 pub mod write_queue;
 
 pub use adr::AdrRegion;
-pub use command::{CommandNvmDevice, DdrCommand};
 pub use config::NvmConfig;
 pub use device::{
     CrashTripped, NvmDevice, PersistKind, PersistPoint, RecoveryJournal, EXHAUSTED_LOG_CAP,
